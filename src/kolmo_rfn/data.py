@@ -13,8 +13,14 @@ Two regimes produce training pairs (X_i, Y_i):
 Inputs, label draws, and observation noise come from separate
 substreams of the dataset seed, and Monte Carlo label rows get one
 substream each, keyed by (seed, row), so generation is reproducible and
-order-independent.  Datasets persist as CSV (header ``x_1,...,x_d,y``)
-with a JSON sidecar holding the generation metadata.
+order-independent.  Monte Carlo labels are computed in blocks of rows
+(at most ``_CHUNK`` paths in all) that draw from those same per-row
+streams, so label i depends only on (seed, i): not on n, not on the
+block size, and bit for bit equal to ``price_mc`` (or the
+``sample_lognormal`` put average) on row i's stream, which the tests
+use as the reference.  Their standard errors are kept as
+``Dataset.label_se``.  Datasets persist as CSV (header
+``x_1,...,x_d,y``) with a JSON sidecar holding the generation metadata.
 """
 
 from __future__ import annotations
@@ -22,12 +28,21 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .levy import LevyTriplet, Payoff, payoff_eval, price_mc, simulate_levy_increment, sqrt_sigma
-from .rng import substream
+from .levy import (
+    _CHUNK,
+    IncrementSampler,
+    LevyTriplet,
+    Payoff,
+    payoff_eval,
+    simulate_levy_increment,
+    sqrt_sigma,
+)
+from .rng import row_streams, substream
 
 __all__ = [
     "Dataset",
@@ -48,7 +63,13 @@ LABEL_KINDS = ("single_draw", "mc_price", "noisy_observation")
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Paired samples with their provenance."""
+    """Paired samples with their provenance.
+
+    ``label_se`` holds the Monte Carlo standard error of each label
+    (without observation noise) when the labels are Monte Carlo prices
+    generated in this process; it is None for ``single_draw`` labels and
+    for datasets loaded from CSV.
+    """
 
     X: np.ndarray
     Y: np.ndarray
@@ -58,6 +79,7 @@ class Dataset:
     T: float
     paths: int | None = None
     noise_std: float | None = None
+    label_se: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.X.ndim != 2:
@@ -66,8 +88,11 @@ class Dataset:
             raise ValueError("Y length must match the rows of X")
         if self.label_kind not in LABEL_KINDS:
             raise ValueError(f"unknown label kind {self.label_kind!r}")
-        self.X.setflags(write=False)
-        self.Y.setflags(write=False)
+        if self.label_se is not None and self.label_se.shape != self.Y.shape:
+            raise ValueError("label_se length must match Y")
+        for arr in (self.X, self.Y, self.label_se):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -104,15 +129,67 @@ class LognormalSpec:
         return self.s0.shape[0]
 
 
+def _lognormal_prices(spec: LognormalSpec, root: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Terminal prices (..., m) from standard normals z (..., m); T > 0."""
+
+    drift = -0.5 * np.diag(spec.cov) * spec.T
+    return spec.s0 * np.exp(drift + math.sqrt(spec.T) * (z @ root.T))
+
+
 def sample_lognormal(spec: LognormalSpec, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw (size, m) terminal prices; each component has mean S0_j."""
 
-    drift = -0.5 * np.diag(spec.cov) * spec.T
     if spec.T == 0:
         return np.tile(spec.s0, (size, 1))
     root = sqrt_sigma(spec.cov)
-    z = rng.standard_normal((size, spec.m))
-    return spec.s0 * np.exp(drift + math.sqrt(spec.T) * (z @ root.T))
+    return _lognormal_prices(spec, root, rng.standard_normal((size, spec.m)))
+
+
+def _label_blocks(seed: int, n: int, paths: int, width: int, chunk: int, draw):
+    """Yield (rows, z, per-row draws) blocks of at most ``chunk`` path-rows.
+
+    Row i draws from ``substream(seed, _LABEL_STREAM, i)``:
+    ``draw(generator, z)`` fills the row's normals z (size, width) and
+    returns its other variates as a tuple of arrays.  A row with more
+    than ``chunk`` paths gets blocks of its own, one per chunk of paths,
+    drawn in turn from its stream.
+    """
+
+    gens = row_streams(seed, _LABEL_STREAM, rows=n)
+    if paths > chunk:
+        for i, gen in enumerate(gens):
+            for done in range(0, paths, chunk):
+                z = np.empty((1, min(chunk, paths - done), width))
+                yield slice(i, i + 1), z, [draw(gen, z[0])]
+        return
+    per_block = chunk // paths
+    for lo in range(0, n, per_block):
+        hi = min(n, lo + per_block)
+        z = np.empty((hi - lo, paths, width))
+        yield slice(lo, hi), z, [draw(gen, z[r]) for r, gen in enumerate(islice(gens, hi - lo))]
+
+
+def _mc_labels(seed: int, n: int, paths: int, width: int, draw, values, chunk: int = _CHUNK):
+    """Monte Carlo means and standard errors of n label rows, by blocks.
+
+    ``draw`` is as in :func:`_label_blocks`; ``values(rows, z, *others)``
+    maps a block's normals (rows, size, width) and its rows' other draws,
+    concatenated, to the (rows, size) payoffs.  Per row, the sums run in
+    the same order and the standard error uses the same formula as
+    ``price_mc``.
+    """
+
+    total = np.zeros(n)
+    total_sq = np.zeros(n)
+    for rows, z, others in _label_blocks(seed, n, paths, width, chunk, draw):
+        vals = values(rows, z, *(np.concatenate(parts) for parts in zip(*others)))
+        total[rows] += vals.sum(axis=-1)
+        total_sq[rows] += (vals * vals).sum(axis=-1)
+    mean = total / paths
+    if paths == 1:
+        return mean, np.full(n, math.inf)
+    var = np.maximum(total_sq - paths * mean * mean, 0.0) / (paths - 1)
+    return mean, np.sqrt(var / paths)
 
 
 def gen_pde_dataset(
@@ -134,6 +211,10 @@ def gen_pde_dataset(
         raise ValueError(f"unknown label kind {label_kind!r}")
     if not M > 0:
         raise ValueError("M must be positive")
+    if label_kind != "single_draw" and paths < 1:
+        raise ValueError(f"paths must be at least 1, got {paths}")
+    if label_kind == "noisy_observation" and noise_std < 0:
+        raise ValueError("noise_std must be nonnegative")
     d = triplet.d
     X = substream(seed, _X_STREAM).uniform(-M, M, size=(n, d))
 
@@ -142,13 +223,19 @@ def gen_pde_dataset(
         Y = payoff_eval(payoff, np.exp(X + incr))
         return Dataset(X=X, Y=np.asarray(Y, dtype=float), label_kind=label_kind, seed=seed, M=M, T=T)
 
-    Y = np.empty(n)
-    for i in range(n):
-        Y[i], _ = price_mc(triplet, payoff, X[i], T, paths, substream(seed, _LABEL_STREAM, i))
-    kwargs = {"paths": paths}
+    if T == 0:
+        # one (1, d) block per row: the same arithmetic as price_mc at T=0
+        Y = payoff_eval(payoff, np.exp(X)[:, None, :])[:, 0]
+        se = np.zeros(n)
+    else:
+        sampler = IncrementSampler(triplet, T)
+
+        def values(rows, z, *jumps):
+            return payoff_eval(payoff, np.exp(X[rows, None, :] + sampler.increments(z, *jumps)))
+
+        Y, se = _mc_labels(seed, n, paths, d, sampler.draw, values)
+    kwargs = {"paths": paths, "label_se": se}
     if label_kind == "noisy_observation":
-        if noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
         if noise_std > 0:
             Y = Y + substream(seed, _NOISE_STREAM).normal(0.0, noise_std, size=n)
         kwargs["noise_std"] = noise_std
@@ -186,10 +273,23 @@ def gen_basket_put_dataset(
         raise ValueError("basket weights must be nonnegative")
 
     K = substream(seed, _X_STREAM).uniform(0.0, M, size=n)
-    Y = np.empty(n)
-    for i in range(n):
-        s_t = sample_lognormal(sampler, substream(seed, _LABEL_STREAM, i), paths)
-        Y[i] = np.maximum(K[i] - s_t @ w, 0.0).mean()
+    root = sqrt_sigma(sampler.cov) if sampler.T > 0 else None
+
+    def draw(gen, z):
+        if root is not None:
+            gen.standard_normal(out=z)
+        return ()
+
+    def values(rows, z):
+        if root is None:
+            s_t = np.tile(sampler.s0, z.shape[:2] + (1,))
+        else:
+            s_t = _lognormal_prices(sampler, root, z)
+        return np.maximum(K[rows, None] - s_t @ w, 0.0)
+
+    # a row's put average is one sum over all its paths, as when the row
+    # is drawn by sample_lognormal, so rows are never split into chunks
+    Y, se = _mc_labels(seed, n, paths, sampler.m, draw, values, chunk=max(_CHUNK, paths))
     if noise_std > 0:
         Y = Y + substream(seed, _NOISE_STREAM).normal(0.0, noise_std, size=n)
     return Dataset(
@@ -201,6 +301,7 @@ def gen_basket_put_dataset(
         T=sampler.T,
         paths=paths,
         noise_std=noise_std,
+        label_se=se,
     )
 
 

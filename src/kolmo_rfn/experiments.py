@@ -478,6 +478,9 @@ def run_rate_curve(spec: ExperimentSpec, datasets: tuple[Dataset, Dataset] | Non
     slope = fit_log_slope(spec.N_list, e_hats)
     e0 = e_hats[0]
     extras = {"label_kind": train_ds.label_kind, "n_train": train_ds.n, "n_test": test_ds.n}
+    if test_ds.label_se is not None:
+        # the Monte Carlo noise floor under e_hat
+        extras["test_label_se_rms"] = float(np.sqrt(np.mean(test_ds.label_se ** 2)))
     if errors:
         extras["errors"] = errors
     report = ExperimentReport(

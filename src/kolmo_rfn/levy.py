@@ -39,6 +39,7 @@ __all__ = [
     "levy_symbol",
     "verify_nondegeneracy",
     "sqrt_sigma",
+    "IncrementSampler",
     "simulate_levy_increment",
     "price_mc",
     "bs_call_price",
@@ -230,6 +231,66 @@ def _as_rng(rng_or_seed) -> np.random.Generator:
     return substream(int(rng_or_seed), _PRICE_STREAM)
 
 
+class IncrementSampler:
+    """Exact sampler of L_T for one triplet and horizon T.
+
+    Holds what every draw reuses (sqrt(sigma), the jump arrays, the
+    compensator), so it is built once per dataset rather than once per
+    Monte Carlo row.  :meth:`draw` fixes the order in which one block of
+    increments consumes a generator: normals, then Poisson jump counts,
+    then jump atoms; :meth:`increments` turns draws into increments.
+    Monte Carlo prices are reproducible bit for bit only because every
+    caller draws in this order.
+    """
+
+    def __init__(self, triplet: LevyTriplet, T: float) -> None:
+        if T < 0:
+            raise ValueError(f"T must be nonnegative, got {T}")
+        self.d = triplet.d
+        self.shift = triplet.gamma * T
+        self.scale = math.sqrt(T)
+        self.root_t = sqrt_sigma(triplet.sigma).T
+        self.rate = None
+        jumps = triplet.jumps
+        if jumps is not None and jumps.intensity > 0:
+            self.probs, self.ys = jumps.arrays()
+            self.rate = jumps.intensity * T
+            small = np.linalg.norm(self.ys, axis=1) <= 1.0
+            self.compensator = T * jumps.intensity * ((self.probs * small) @ self.ys)
+
+    def draw(self, rng: np.random.Generator, z: np.ndarray) -> tuple:
+        """Fill z (paths, d) with normals, then draw those paths' jumps.
+
+        Returns () without jumps, else (counts, atoms): each path's jump
+        count and the atom index of every jump, path after path.
+        """
+
+        rng.standard_normal(out=z)
+        if self.rate is None:
+            return ()
+        counts = rng.poisson(self.rate, size=z.shape[0])
+        total = int(counts.sum())
+        atoms = rng.choice(len(self.probs), size=total, p=self.probs) if total else np.empty(0, np.intp)
+        return counts, atoms
+
+    def increments(self, z: np.ndarray, counts=None, atoms=None) -> np.ndarray:
+        """Increments (..., paths, d) from normals z of that shape.
+
+        ``counts`` and ``atoms`` are the jumps :meth:`draw` returned for
+        z's paths in row-major order (several draws concatenated).
+        """
+
+        out = self.shift + self.scale * (z @ self.root_t)
+        if self.rate is not None:
+            if atoms.size:
+                flat = out.reshape(-1, self.d)
+                owner = np.repeat(np.arange(flat.shape[0]), counts.ravel())
+                for j in range(self.d):
+                    flat[:, j] += np.bincount(owner, weights=self.ys[atoms, j], minlength=flat.shape[0])
+            out -= self.compensator
+        return out
+
+
 def simulate_levy_increment(triplet: LevyTriplet, T: float, rng, size: int | None = None):
     """Draw L_T (one d-vector, or a (size, d) block when size is given).
 
@@ -239,31 +300,14 @@ def simulate_levy_increment(triplet: LevyTriplet, T: float, rng, size: int | Non
     1{norm(y_k) <= 1} that the symbol's centering term prescribes.
     """
 
-    if T < 0:
-        raise ValueError(f"T must be nonnegative, got {T}")
     rng = _as_rng(rng)
     n = 1 if size is None else int(size)
-    d = triplet.d
     if T == 0:
-        out = np.zeros((n, d))
-        return out[0] if size is None else out
-
-    s = sqrt_sigma(triplet.sigma)
-    z = rng.standard_normal((n, d))
-    out = triplet.gamma * T + math.sqrt(T) * (z @ s.T)
-
-    if triplet.jumps is not None and triplet.jumps.intensity > 0:
-        probs, ys = triplet.jumps.arrays()
-        counts = rng.poisson(triplet.jumps.intensity * T, size=n)
-        total = int(counts.sum())
-        if total:
-            idx = rng.choice(len(probs), size=total, p=probs)
-            rows = np.repeat(np.arange(n), counts)
-            for j in range(d):
-                out[:, j] += np.bincount(rows, weights=ys[idx, j], minlength=n)
-        small = np.linalg.norm(ys, axis=1) <= 1.0
-        out -= T * triplet.jumps.intensity * ((probs * small) @ ys)
-
+        out = np.zeros((n, triplet.d))
+    else:
+        sampler = IncrementSampler(triplet, T)
+        z = np.empty((n, triplet.d))
+        out = sampler.increments(z, *sampler.draw(rng, z))
     return out[0] if size is None else out
 
 
@@ -346,45 +390,50 @@ def _payoff_d(payoff: Payoff) -> int | None:
 
 
 def payoff_log_eval(payoff: Payoff, x) -> np.ndarray | float:
-    """Payoff at log-coordinates x (one point or rows of points)."""
+    """Payoff at log-coordinates x (one point, or points along the last axis)."""
 
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     single = arr.ndim == 1
     pts = arr[None, :] if single else arr
     d = _payoff_d(payoff)
-    if d is not None and pts.shape[1] != d:
-        raise ValueError(f"x has dimension {pts.shape[1]}, payoff expects {d}")
+    if d is not None and pts.shape[-1] != d:
+        raise ValueError(f"x has dimension {pts.shape[-1]}, payoff expects {d}")
 
     if payoff.kind == "tent":
         c, w = payoff.params["center"], payoff.params["width"]
-        vals = np.maximum(1.0 - np.abs(pts[:, 0] - c) / w, 0.0)
+        vals = np.maximum(1.0 - np.abs(pts[..., 0] - c) / w, 0.0)
     elif payoff.kind == "indicator":
         lo, hi = payoff.params["lo"], payoff.params["hi"]
-        vals = np.all((pts >= lo) & (pts <= hi), axis=1).astype(float)
+        vals = np.all((pts >= lo) & (pts <= hi), axis=-1).astype(float)
     elif payoff.kind == "table":
-        vals = np.interp(pts[:, 0], payoff.params["xs"], payoff.params["ys"], left=0.0, right=0.0)
+        vals = np.interp(pts[..., 0], payoff.params["xs"], payoff.params["ys"], left=0.0, right=0.0)
     elif payoff.kind == "truncated":
         inner = payoff_log_eval(payoff.params["inner"], pts)
-        vals = np.where(np.linalg.norm(pts, axis=1) <= payoff.params["bound"], inner, 0.0)
+        vals = np.where(np.linalg.norm(pts, axis=-1) <= payoff.params["bound"], inner, 0.0)
     else:
         vals = payoff_eval(payoff, np.exp(pts))
     return float(vals[0]) if single else vals
 
 
 def payoff_eval(payoff: Payoff, s) -> np.ndarray | float:
-    """Payoff at asset values s (one point or rows of points)."""
+    """Payoff at asset values s (one point, or points along the last axis).
+
+    A stack of point blocks (..., paths, d) is evaluated block by block
+    with the same arithmetic as each block alone, so batching Monte
+    Carlo rows leaves every value bit-identical.
+    """
 
     arr = np.atleast_1d(np.asarray(s, dtype=float))
     single = arr.ndim == 1
     pts = arr[None, :] if single else arr
     d = _payoff_d(payoff)
-    if d is not None and pts.shape[1] != d:
-        raise ValueError(f"s has dimension {pts.shape[1]}, payoff expects {d}")
+    if d is not None and pts.shape[-1] != d:
+        raise ValueError(f"s has dimension {pts.shape[-1]}, payoff expects {d}")
 
     if payoff.kind == "max_call":
         if (pts < 0).any() or not np.isfinite(pts).all():
             raise ValueError("asset values must be finite and nonnegative")
-        vals = np.maximum(pts.max(axis=1) - payoff.params["strike"], 0.0)
+        vals = np.maximum(pts.max(axis=-1) - payoff.params["strike"], 0.0)
     elif payoff.kind == "basket_put":
         if (pts < 0).any() or not np.isfinite(pts).all():
             raise ValueError("asset values must be finite and nonnegative")
@@ -450,12 +499,14 @@ def price_mc(triplet: LevyTriplet, payoff: Payoff, x, T: float, paths: int, rng)
         return float(payoff_eval(payoff, np.exp(x))), 0.0
 
     rng = _as_rng(rng)
+    sampler = IncrementSampler(triplet, T)
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < paths:
         block = min(_CHUNK, paths - done)
-        incr = simulate_levy_increment(triplet, T, rng, size=block)
+        z = np.empty((block, triplet.d))
+        incr = sampler.increments(z, *sampler.draw(rng, z))
         vals = payoff_eval(payoff, np.exp(x + incr))
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())

@@ -1,10 +1,15 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kolmo_rfn.cli import main
+from kolmo_rfn.data import load_dataset
 from kolmo_rfn.network import load_model
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -93,6 +98,18 @@ class TestDataAndTrainingFlow:
         ])
         assert code == 1
         assert "d=5" in capsys.readouterr().err
+
+    def test_readme_data_config_runs(self, tmp_path):
+        # the README's gen-data example, shrunk, must keep working
+        section = README.read_text().split("### Data config schema (`gen-data`)", 1)[1]
+        doc = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+        doc["n"] = 20
+        cfg = tmp_path / "data.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "train.csv"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+        ds = load_dataset(out)
+        assert ds.n == 20 and ds.d == doc["model"]["d"]
 
     def test_basket_data_kind(self, tmp_path):
         doc = {

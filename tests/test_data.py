@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import kolmo_rfn.data as data_module
 from kolmo_rfn.data import (
     Dataset,
     LognormalSpec,
@@ -13,6 +14,8 @@ from kolmo_rfn.data import (
     save_dataset,
 )
 from kolmo_rfn.levy import (
+    _CHUNK,
+    CompoundPoissonSpec,
     LevyTriplet,
     basket_put,
     bs_put_price,
@@ -28,6 +31,19 @@ from kolmo_rfn.rng import substream
 def gbm(vol=0.2, d=1):
     sigma = np.eye(d) * vol * vol
     return LevyTriplet(sigma=sigma, gamma=risk_neutral_gamma(sigma))
+
+
+def jump_diffusion(d=2):
+    sigma = equal_correlation_sigma(0.2, 0.3, d)
+    jumps = CompoundPoissonSpec(2.0, ((0.25, [0.4] * d), (0.75, [-0.3] * d)), radius=1.5)
+    return LevyTriplet(sigma=sigma, gamma=risk_neutral_gamma(sigma, jumps), jumps=jumps)
+
+
+def per_row_prices(trip, po, ds):
+    """The per-row reference: price_mc on row i's label stream (seed, 51, i)."""
+
+    out = [price_mc(trip, po, ds.X[i], ds.T, ds.paths, substream(ds.seed, 51, i)) for i in range(ds.n)]
+    return np.array([m for m, _ in out]), np.array([se for _, se in out])
 
 
 class TestDatasetContainer:
@@ -145,6 +161,58 @@ class TestPdeDataset:
         )
         assert np.array_equal(noisy.Y, again.Y)
 
+    @pytest.mark.parametrize("trip,po,T,n,paths", [
+        (gbm(d=3), max_call(1.0, d=3), 1.0, 40, 300),
+        (jump_diffusion(), max_call(1.0, d=2), 0.7, 40, 250),
+        (jump_diffusion(), basket_put(1.1, [0.3, 0.7]), 1.0, 30, 100),
+        (gbm(d=2), basket_put(1.1, [0.3, 0.7]), 0.0, 20, 50),
+        (jump_diffusion(), max_call(1.0, d=2), 1.0, 25, 1),
+        (gbm(), max_call(1.0, d=1), 1.0, 2, _CHUNK + 7),
+        (jump_diffusion(d=1), max_call(1.0, d=1), 1.0, 2, _CHUNK + 3),
+        (gbm(), max_call(1.0, d=1), 1.0, 5, _CHUNK // 2 + 1),
+    ])
+    def test_mc_labels_equal_the_per_row_reference(self, trip, po, T, n, paths):
+        ds = gen_pde_dataset(trip, po, M=1.0, T=T, n=n, label_kind="mc_price", seed=21, paths=paths)
+        mean, se = per_row_prices(trip, po, ds)
+        assert np.array_equal(ds.Y, mean)
+        assert np.array_equal(ds.label_se, se)
+
+    def test_noisy_labels_equal_the_per_row_reference_plus_noise(self):
+        trip, po = jump_diffusion(), max_call(1.0, d=2)
+        ds = gen_pde_dataset(
+            trip, po, M=1.0, T=1.0, n=30, label_kind="noisy_observation", seed=22, paths=80, noise_std=0.1
+        )
+        mean, se = per_row_prices(trip, po, ds)
+        noise = substream(22, 52).normal(0.0, 0.1, size=30)
+        assert np.array_equal(ds.Y, mean + noise)
+        assert np.array_equal(ds.label_se, se)
+
+    def test_label_i_does_not_depend_on_n(self):
+        args = dict(M=1.0, T=1.0, label_kind="mc_price", seed=23, paths=_CHUNK // 4 + 1)
+        small = gen_pde_dataset(jump_diffusion(), max_call(1.0, d=2), n=3, **args)
+        large = gen_pde_dataset(jump_diffusion(), max_call(1.0, d=2), n=9, **args)
+        assert np.array_equal(small.Y, large.Y[:3])
+
+    def test_label_se_only_for_monte_carlo_labels(self):
+        ds = gen_pde_dataset(gbm(), max_call(1.0, d=1), M=1.0, T=1.0, n=10, seed=3)
+        assert ds.label_se is None
+        ds = gen_pde_dataset(gbm(), max_call(1.0, d=1), M=1.0, T=0.0, n=10, label_kind="mc_price", seed=3)
+        assert np.array_equal(ds.label_se, np.zeros(10))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"label_kind": "noisy_observation", "noise_std": -0.1},
+        {"label_kind": "mc_price", "paths": 0},
+        {"label_kind": "noisy_observation", "paths": 0},
+    ])
+    def test_bad_label_settings_fail_before_any_draw(self, monkeypatch, kwargs):
+        def no_draws(*args, **kw):
+            raise AssertionError("a stream was opened before validation")
+
+        monkeypatch.setattr(data_module, "substream", no_draws)
+        monkeypatch.setattr(data_module, "row_streams", no_draws)
+        with pytest.raises(ValueError):
+            gen_pde_dataset(gbm(), max_call(1.0, d=1), M=1.0, T=1.0, n=50, seed=1, **kwargs)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             gen_pde_dataset(gbm(), max_call(1.0, d=1), M=1.0, T=1.0, n=0)
@@ -193,6 +261,25 @@ class TestBasketDataset:
         assert (np.diff(means) >= 0).all()
         assert (np.diff(means[3:]) > 0).all()
 
+    @pytest.mark.parametrize("s0,cov,T,w,paths", [
+        ([1.0], [[0.04]], 1.0, [1.0], 100),
+        ([1.0, 0.8], equal_correlation_sigma(0.3, 0.4, 2), 1.0, [0.4, 0.6], 64),
+        ([1.0, 0.8], equal_correlation_sigma(0.3, 0.4, 2), 0.0, [0.4, 0.6], 64),
+        ([1.0], [[0.04]], 1.0, [1.0], 1),
+        ([1.0, 0.8], equal_correlation_sigma(0.3, 0.4, 2), 1.0, [0.4, 0.6], _CHUNK + 9),
+    ])
+    def test_labels_equal_the_per_row_reference(self, s0, cov, T, w, paths):
+        spec = LognormalSpec(s0=s0, cov=cov, T=T)
+        n = 2 if paths > _CHUNK else 300
+        ds = gen_basket_put_dataset(spec, w, M=1.5, n=n, seed=24, paths=paths, noise_std=0.01)
+        ref = np.array([
+            np.maximum(ds.X[i, 0] - sample_lognormal(spec, substream(24, 51, i), paths) @ np.asarray(w), 0.0).mean()
+            for i in range(n)
+        ])
+        noise = substream(24, 52).normal(0.0, 0.01, size=n)
+        assert np.array_equal(ds.Y, ref + noise)
+        assert ds.label_se.shape == (n,)
+
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             gen_basket_put_dataset(self.spec, [0.5], M=1.0, n=3)
@@ -218,6 +305,7 @@ class TestRoundTrip:
         assert back.label_kind == ds.label_kind
         assert back.seed == ds.seed and back.M == ds.M and back.T == ds.T
         assert back.paths == ds.paths and back.noise_std == ds.noise_std
+        assert back.label_se is None
 
     def test_header_names_columns(self, tmp_path):
         ds = gen_pde_dataset(gbm(d=3), max_call(1.0, d=3), M=1.0, T=0.0, n=2, seed=0)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kolmo_rfn.data import Dataset, LognormalSpec
+from kolmo_rfn.data import Dataset, LognormalSpec, gen_pde_dataset
 from kolmo_rfn.experiments import (
     ExperimentSpec,
     fit_log_slope,
@@ -267,6 +267,20 @@ class TestRateCurve:
             assert key in summary
         assert summary["config_hash"] == rep.config_hash
         assert summary["slope"] == pytest.approx(rep.slope, rel=1e-15)
+
+    def test_reports_the_test_label_noise_floor(self):
+        spec = small_rate_spec()
+        rep = run_rate_curve(spec)
+        test_ds = gen_pde_dataset(
+            spec.model, spec.payoff, spec.M, spec.T, spec.n_test, label_kind="mc_price",
+            seed=derive_seed(spec.master_seed, 2), paths=spec.paths,
+        )
+        assert rep.extras["test_label_se_rms"] == math.sqrt(np.mean(test_ds.label_se ** 2))
+        assert 0 < rep.extras["test_label_se_rms"] < 0.1
+
+    def test_no_noise_floor_for_single_draw_test_labels(self):
+        rep = run_rate_curve(small_rate_spec(test_label_kind="single_draw"))
+        assert "test_label_se_rms" not in rep.extras
 
     def test_dispatch_by_kind(self):
         rep = run_experiment(small_rate_spec())

@@ -218,6 +218,27 @@ class TestSimulation:
         se = growth.std(axis=0, ddof=1) / math.sqrt(growth.shape[0])
         assert (np.abs(growth.mean(axis=0) - 1.0) <= 3 * se).all()
 
+    def test_jump_draw_order_is_normals_then_counts_then_atoms(self):
+        # Monte Carlo labels are reproducible only while every caller
+        # consumes a stream in this order; rebuild one block by hand
+        atoms = ((0.25, [0.4, 0.0]), (0.75, [-0.3, 0.2]))
+        jumps = CompoundPoissonSpec(intensity=2.0, atoms=atoms, radius=1.5)
+        sigma = equal_correlation_sigma(0.2, 0.3, 2)
+        trip = LevyTriplet(sigma=sigma, gamma=risk_neutral_gamma(sigma, jumps), jumps=jumps)
+        T, n = 0.8, 200
+        got = simulate_levy_increment(trip, T, substream(3, 9), size=n)
+
+        rng = substream(3, 9)
+        z = rng.standard_normal((n, 2))
+        counts = rng.poisson(2.0 * T, size=n)
+        probs, ys = jumps.arrays()
+        idx = rng.choice(2, size=counts.sum(), p=probs)
+        jump_sum = np.zeros((n, 2))
+        np.add.at(jump_sum, np.repeat(np.arange(n), counts), ys[idx])
+        compensator = T * 2.0 * (probs @ ys)  # both atoms lie inside the unit ball
+        want = trip.gamma * T + math.sqrt(T) * z @ sqrt_sigma(sigma).T + jump_sum - compensator
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
     def test_risk_neutral_gamma_frozen_value(self):
         # mpmath: -0.04/2 - 2 * (0.25(e^{0.4}-1-0.4) + 0.75(e^{-0.3}-1+0.3))
         g = risk_neutral_gamma([[0.04]], JUMP_1D)

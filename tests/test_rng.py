@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from kolmo_rfn.rng import derive_seed, substream
+from kolmo_rfn.rng import derive_seed, row_streams, substream
 
 
 def test_same_stream_reproduces_bits():
@@ -40,3 +41,38 @@ def test_negative_seed_is_usable():
     a = substream(-17, 0).standard_normal(4)
     b = substream(-17, 0).standard_normal(4)
     assert np.array_equal(a, b)
+
+
+class TestRowStreams:
+    # row_streams must reproduce substream(seed, *ids, i) exactly: the same
+    # Philox key, a zero counter, an empty buffer, hence the same draws
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, -17, 0x1234_5678_9ABC_DEF0])
+    @pytest.mark.parametrize("ids", [(51,), (1, 2), (2**40,), (7, 2**33 + 5)])
+    def test_rows_match_substream(self, seed, ids):
+        for i, gen in enumerate(row_streams(seed, *ids, rows=40)):
+            ref = substream(seed, *ids, i)
+            assert _same_state(gen.bit_generator.state, ref.bit_generator.state)
+            assert np.array_equal(gen.standard_normal(9), ref.standard_normal(9))
+            assert np.array_equal(gen.uniform(size=3), ref.uniform(size=3))
+        assert i == 39
+
+    def test_zero_and_one_rows(self):
+        assert list(row_streams(3, 51, rows=0)) == []
+        (gen,) = row_streams(3, 51, rows=1)
+        assert np.array_equal(gen.standard_normal(5), substream(3, 51, 0).standard_normal(5))
+
+    def test_row_count_is_checked(self):
+        with pytest.raises(ValueError):
+            next(row_streams(3, 51, rows=-1))
+
+
+def _same_state(a, b) -> bool:
+    return (
+        a["bit_generator"] == b["bit_generator"]
+        and np.array_equal(a["state"]["key"], b["state"]["key"])
+        and np.array_equal(a["state"]["counter"], b["state"]["counter"])
+        and np.array_equal(a["buffer"], b["buffer"])
+        and a["buffer_pos"] == b["buffer_pos"]
+        and a["has_uint32"] == b["has_uint32"]
+        and a["uinteger"] == b["uinteger"]
+    )
