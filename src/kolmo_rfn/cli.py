@@ -172,9 +172,14 @@ def _cmd_experiment(args) -> int:
         "config_hash": report.config_hash,
         **{k: v for k, v in report.extras.items() if not isinstance(v, (list, dict))},
     }
+    errors = report.extras.get("errors", [])
+    if errors:
+        summary["errors"] = len(errors)
     if spec.output_path:
         summary["output"] = str(Path(spec.output_path).with_suffix(".csv"))
     print(json.dumps(summary))
+    for failure in errors:
+        print(f"error: N={failure['N']}: {failure['error']}", file=sys.stderr)
     return 0
 
 

@@ -13,9 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -78,14 +76,6 @@ _TEST_DATA = 2
 _HIDDEN = 3
 _SGD = 4
 _ORACLE = 10
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("KOLMO_RFN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +380,35 @@ def _capped_rmse(design_values: np.ndarray, W: np.ndarray, Y: np.ndarray, cap) -
     return math.sqrt(float(r @ r / Y.size))
 
 
-def _map_over_N(worker, N_list):
-    """Run worker(N) for each N, optionally on a thread pool."""
+def _finish(spec: ExperimentSpec, columns, rows, slope, e0, extras) -> ExperimentReport:
+    """Build the report and write it when the spec names an output path."""
 
-    threads = _worker_count()
-    if threads == 1:
-        return [worker(N) for N in N_list]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, N_list))
+    report = ExperimentReport(
+        kind=spec.kind,
+        columns=columns,
+        rows=tuple(rows),
+        slope=slope,
+        e0=e0,
+        seed=spec.master_seed,
+        config=spec.to_dict(),
+        config_hash=spec.config_hash(),
+        extras=extras,
+    )
+    if spec.output_path:
+        write_report(report, spec.output_path)
+    return report
+
+
+def _pde_data(spec: ExperimentSpec, stream: int, n: int, label_kind: str, paths: int) -> Dataset:
+    """PDE data drawn from substream ``stream`` of the master seed."""
+
+    if not isinstance(spec.model, LevyTriplet) or spec.payoff is None:
+        raise ValueError(f"{spec.kind} needs a Levy triplet model and a payoff")
+    return gen_pde_dataset(
+        spec.model, spec.payoff, spec.M, spec.T, n,
+        label_kind=label_kind, seed=derive_seed(spec.master_seed, stream),
+        paths=paths, noise_std=spec.noise_std,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -420,39 +431,29 @@ def run_rate_curve(spec: ExperimentSpec, datasets: tuple[Dataset, Dataset] | Non
         raise ValueError("rate_curve uses exactly one train config")
     cfg = spec.train[0]
     if datasets is None:
-        if not isinstance(spec.model, LevyTriplet) or spec.payoff is None:
-            raise ValueError("rate_curve needs a Levy triplet model and a payoff")
-        train_ds = gen_pde_dataset(
-            spec.model, spec.payoff, spec.M, spec.T, spec.n_train,
-            label_kind=spec.label_kind, seed=derive_seed(spec.master_seed, _TRAIN_DATA),
-            paths=spec.paths, noise_std=spec.noise_std,
-        )
+        train_ds = _pde_data(spec, _TRAIN_DATA, spec.n_train, spec.label_kind, spec.paths)
         # held-out labels default to per-point prices so e_hat tracks the
         # distance to the target function, not the training-label noise
-        test_ds = gen_pde_dataset(
-            spec.model, spec.payoff, spec.M, spec.T, spec.n_test,
-            label_kind=spec.test_label_kind or "mc_price",
-            seed=derive_seed(spec.master_seed, _TEST_DATA),
-            paths=spec.test_paths or spec.paths, noise_std=spec.noise_std,
+        test_ds = _pde_data(
+            spec, _TEST_DATA, spec.n_test, spec.test_label_kind or "mc_price",
+            spec.test_paths or spec.paths,
         )
     else:
         train_ds, test_ds = datasets
     d = train_ds.d
     hidden_seed = derive_seed(spec.master_seed, _HIDDEN)
 
-    n_max = spec.N_list[-1]
     shared = None
     if not spec.independent_hidden:
-        hidden_full = sample_hidden_weights(spec.weight_spec, n_max, d, hidden_seed)
+        hidden_full = sample_hidden_weights(spec.weight_spec, spec.N_list[-1], d, hidden_seed)
         shared = (
-            hidden_full,
             design_matrix(hidden_full, train_ds.X).values,
             design_matrix(hidden_full, test_ds.X).values,
         )
 
+    rows = []
     errors: list[dict] = []
-
-    def worker(N: int):
+    for N in spec.N_list:
         t0 = time.perf_counter()
         try:
             if shared is None:
@@ -462,41 +463,26 @@ def run_rate_curve(spec: ExperimentSpec, datasets: tuple[Dataset, Dataset] | Non
                 x_train = design_matrix(hidden, train_ds.X).values
                 x_test = design_matrix(hidden, test_ds.X).values
             else:
-                _, full_train, full_test = shared
-                x_train = full_train[:, :N]
-                x_test = full_test[:, :N]
+                x_train = shared[0][:, :N]
+                x_test = shared[1][:, :N]
             W, diag = fit(x_train, train_ds.Y, cfg)
             e_hat = _capped_rmse(x_test, W, test_ds.Y, cfg.cap)
-            wall = (time.perf_counter() - t0) * 1e3
-            return (N, e_hat, diag.empirical_risk, wall)
+            risk = diag.empirical_risk
         except Exception as exc:  # per-N failures recorded, not fatal
             errors.append({"N": N, "error": str(exc)})
-            return (N, math.nan, math.nan, (time.perf_counter() - t0) * 1e3)
-
-    rows = _map_over_N(worker, spec.N_list)
+            e_hat = risk = math.nan
+        rows.append((N, e_hat, risk, (time.perf_counter() - t0) * 1e3))
     e_hats = [r[1] for r in rows]
-    slope = fit_log_slope(spec.N_list, e_hats)
-    e0 = e_hats[0]
     extras = {"label_kind": train_ds.label_kind, "n_train": train_ds.n, "n_test": test_ds.n}
     if test_ds.label_se is not None:
         # the Monte Carlo noise floor under e_hat
         extras["test_label_se_rms"] = float(np.sqrt(np.mean(test_ds.label_se ** 2)))
     if errors:
         extras["errors"] = errors
-    report = ExperimentReport(
-        kind=spec.kind,
-        columns=("N", "e_hat", "train_risk", "wall_ms"),
-        rows=tuple(rows),
-        slope=slope,
-        e0=e0,
-        seed=spec.master_seed,
-        config=spec.to_dict(),
-        config_hash=spec.config_hash(),
-        extras=extras,
+    return _finish(
+        spec, ("N", "e_hat", "train_risk", "wall_ms"), rows,
+        fit_log_slope(spec.N_list, e_hats), e_hats[0], extras,
     )
-    if spec.output_path:
-        write_report(report, spec.output_path)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -564,22 +550,12 @@ def run_basket_put(spec: ExperimentSpec) -> ExperimentReport:
     if single_asset:
         extras["rmse_closed_form"] = rmse_by_method
     e_hats = [r[2] for r in rows]
-    report = ExperimentReport(
-        kind=spec.kind,
-        columns=("method", "N", "e_hat", "train_risk", "wall_ms"),
-        rows=tuple(rows),
-        slope=fit_log_slope(
-            [r[1] for r in rows], e_hats
-        ) if len(methods) == 1 and len(spec.N_list) > 1 else None,
-        e0=e_hats[0],
-        seed=spec.master_seed,
-        config=spec.to_dict(),
-        config_hash=spec.config_hash(),
-        extras=extras,
+    slope = None
+    if len(methods) == 1 and len(spec.N_list) > 1:
+        slope = fit_log_slope([r[1] for r in rows], e_hats)
+    return _finish(
+        spec, ("method", "N", "e_hat", "train_risk", "wall_ms"), rows, slope, e_hats[0], extras
     )
-    if spec.output_path:
-        write_report(report, spec.output_path)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -623,20 +599,9 @@ def run_oracle_convergence(spec: ExperimentSpec) -> ExperimentReport:
     if 100 in means and 400 in means and means[400] > 0:
         extras["ratio_100_400"] = means[100] / means[400]
     slope = fit_log_slope(spec.N_list, [means[N] for N in spec.N_list], exclude_n1=True)
-    report = ExperimentReport(
-        kind=spec.kind,
-        columns=("seed", "N", "sup_error", "max_weight"),
-        rows=tuple(rows),
-        slope=slope,
-        e0=means[spec.N_list[0]],
-        seed=spec.master_seed,
-        config=spec.to_dict(),
-        config_hash=spec.config_hash(),
-        extras=extras,
+    return _finish(
+        spec, ("seed", "N", "sup_error", "max_weight"), rows, slope, means[spec.N_list[0]], extras
     )
-    if spec.output_path:
-        write_report(report, spec.output_path)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -671,13 +636,7 @@ def run_sgd_vs_ols(spec: ExperimentSpec) -> ExperimentReport:
     if len(spec.N_list) != 1:
         raise ValueError("sgd_vs_ols uses a single network width")
     N = spec.N_list[0]
-    if not isinstance(spec.model, LevyTriplet) or spec.payoff is None:
-        raise ValueError("sgd_vs_ols needs a Levy triplet model and a payoff")
-    train_ds = gen_pde_dataset(
-        spec.model, spec.payoff, spec.M, spec.T, spec.n_train,
-        label_kind=spec.label_kind, seed=derive_seed(spec.master_seed, _TRAIN_DATA),
-        paths=spec.paths, noise_std=spec.noise_std,
-    )
+    train_ds = _pde_data(spec, _TRAIN_DATA, spec.n_train, spec.label_kind, spec.paths)
     hidden = sample_hidden_weights(
         spec.weight_spec, N, train_ds.d, derive_seed(spec.master_seed, _HIDDEN)
     )
@@ -720,20 +679,7 @@ def run_sgd_vs_ols(spec: ExperimentSpec) -> ExperimentReport:
         "final_gaps": [float(g) for g in final_gaps],
         "gap_tolerance": 0.05 * (1.0 + ols_risk),
     }
-    report = ExperimentReport(
-        kind=spec.kind,
-        columns=("T", "risk_gap", "risk", "wall_ms"),
-        rows=tuple(rows),
-        slope=None,
-        e0=None,
-        seed=spec.master_seed,
-        config=spec.to_dict(),
-        config_hash=spec.config_hash(),
-        extras=extras,
-    )
-    if spec.output_path:
-        write_report(report, spec.output_path)
-    return report
+    return _finish(spec, ("T", "risk_gap", "risk", "wall_ms"), rows, None, None, extras)
 
 
 _RUNNERS = {

@@ -433,7 +433,12 @@ def payoff_eval(payoff: Payoff, s) -> np.ndarray | float:
     if payoff.kind == "max_call":
         if (pts < 0).any() or not np.isfinite(pts).all():
             raise ValueError("asset values must be finite and nonnegative")
-        vals = np.maximum(pts.max(axis=-1) - payoff.params["strike"], 0.0)
+        # a running maximum over the column views is several times faster
+        # than max(axis=-1) on a short last axis, with the same bits
+        top = pts[..., 0]
+        for j in range(1, pts.shape[-1]):
+            top = np.maximum(top, pts[..., j])
+        vals = np.maximum(top - payoff.params["strike"], 0.0)
     elif payoff.kind == "basket_put":
         if (pts < 0).any() or not np.isfinite(pts).all():
             raise ValueError("asset values must be finite and nonnegative")

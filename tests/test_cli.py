@@ -209,9 +209,11 @@ class TestExperimentCommand:
         assert code == 0
         assert out.with_suffix(".csv").exists()
         assert out.with_suffix(".json").exists()
-        summary = json.loads(capsys.readouterr().out)
+        out, err = capsys.readouterr()
+        summary = json.loads(out)
         assert summary["kind"] == "rate_curve"
         assert "slope" in summary and "config_hash" in summary
+        assert "errors" not in summary and err == ""
 
     def test_seed_override(self, tmp_path, rate_config, capsys):
         out = tmp_path / "r"
@@ -234,3 +236,17 @@ class TestExperimentCommand:
 
     def test_invalid_kind_choice(self, capsys):
         assert main(["experiment", "warp-drive", "--config", "x.json"]) == 1
+
+    def test_failed_widths_are_counted_and_named(self, tmp_path, rate_config, capsys):
+        # a minibatch larger than n_train makes every sgd fit fail
+        doc = json.loads(rate_config.read_text())
+        doc["train"] = {"method": "sgd", "lambda": 10.0, "eta0": 0.1, "steps": 10, "batch": 5000}
+        cfg = tmp_path / "sgd_rate_cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["experiment", "rate-curve", "--config", str(cfg)]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["errors"] == 2
+        lines = err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("error: N=5: ") and lines[1].startswith("error: N=10: ")
+        assert all("exceeds the 400 available samples" in line for line in lines)

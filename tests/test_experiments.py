@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,18 @@ from kolmo_rfn.network import (
 )
 from kolmo_rfn.rng import derive_seed
 from kolmo_rfn.train import TrainConfig
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# config_hash of each shipped config; a refactor must leave these alone
+SHIPPED_CONFIG_HASHES = {
+    "basket_put": "3df5ccdbdbd39e6c18588160badaaa6c7e205c2fddc1da4335a3ffe52b39ec83",
+    "oracle_convergence": "4846d833f01a785e3ef52116b5d7ec0387a48334d5417aa90b9db7eb2d13c330",
+    "rate_curve_desk": "ba04e58c11e1a0516789001760243247da1b51fec23c1f91bfb4550b586bd1fd",
+    "rate_curve_full": "f0ab252c162a222059c4079c993624f4b59fc95fcab1bcbee62b331d55a4a4f8",
+    "sgd_vs_ols": "58ad5fd0442686b1156876cfb52c7271cb5781bb9e967d925ef24b6dacbe64b9",
+}
 
 
 def bs_triplet(d=2, sigma=0.2, rho=0.2):
@@ -107,6 +120,11 @@ class TestSpecValidation:
 
     def test_hash_sees_seed_change(self):
         assert small_rate_spec(master_seed=1).config_hash() != small_rate_spec().config_hash()
+
+    @pytest.mark.parametrize("name, digest", sorted(SHIPPED_CONFIG_HASHES.items()))
+    def test_shipped_config_hash_is_pinned(self, name, digest):
+        doc = json.loads((CONFIGS / f"{name}.json").read_text())
+        assert ExperimentSpec.from_dict(doc).config_hash() == digest
 
     def test_hyphenated_kind_accepted(self):
         doc = small_rate_spec().to_dict()

@@ -291,6 +291,14 @@ class TestPayoffs:
         vals = payoff_eval(max_call(1.0, d=2), [[1.3, 0.9], [0.5, 0.9]])
         assert np.allclose(vals, [0.3, 0.0])
 
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_max_call_matches_max_over_last_axis(self, d):
+        po = max_call(1.0, d=d)
+        block = np.random.default_rng(d).lognormal(0.0, 0.3, size=(7, 50, d))
+        assert np.array_equal(payoff_eval(po, block), np.maximum(block.max(axis=-1) - 1.0, 0.0))
+        point = block[0, 0]
+        assert np.array_equal(payoff_eval(po, point), np.maximum(point.max(axis=-1) - 1.0, 0.0))
+
     @pytest.mark.parametrize(
         "po",
         [
