@@ -56,13 +56,11 @@ from .train import (
 )
 from .fourier import (
     FourierProfile,
-    ReferenceFunction,
     alpha,
     construct_oracle_weights,
     gaussian_profile,
     oracle_weight_envelope,
     reference_convolution,
-    reference_for,
     sup_error_on_grid,
     truncate_payoff,
 )

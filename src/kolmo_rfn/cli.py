@@ -12,6 +12,8 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +58,16 @@ def _load_json(path) -> dict:
         raise ValueError(f"invalid JSON in {p}: {exc}") from exc
 
 
+@contextmanager
+def _config_fields(path):
+    """Report a missing or mistyped field of the config at ``path`` as a ValueError."""
+
+    try:
+        yield
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"config {path}: missing or mistyped field: {exc}") from exc
+
+
 def _weight_spec(args) -> WeightDistributionSpec:
     return WeightDistributionSpec(nu=args.nu, b_dof=args.b_dof)
 
@@ -70,35 +82,36 @@ def _cmd_sample_weights(args) -> int:
 
 def _cmd_gen_data(args) -> int:
     doc = _load_json(args.config)
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
-    out = args.out or doc.get("output")
-    if out is None:
-        raise ValueError("no output path: pass --out or set \"output\" in the config")
-    kind = doc.get("kind", "pde")
-    if kind == "basket_put":
-        sampler = lognormal_from_dict(doc["model"])
-        weights = doc.get("weights")
-        weights = (
-            np.asarray(weights, dtype=float)
-            if weights is not None
-            else np.full(sampler.m, 1.0 / sampler.m)
-        )
-        ds = gen_basket_put_dataset(
-            sampler, weights, float(doc.get("M", 1.0)), int(doc["n"]),
-            noise_std=float(doc.get("noise_std", 0.0)), seed=seed,
-            paths=int(doc.get("paths", 100)),
-        )
-    elif kind == "pde":
-        triplet = triplet_from_dict(doc["model"])
-        payoff = payoff_from_dict(doc["payoff"])
-        ds = gen_pde_dataset(
-            triplet, payoff, float(doc.get("M", 1.0)), float(doc.get("T", 1.0)),
-            int(doc["n"]), label_kind=doc.get("label_kind", "single_draw"),
-            seed=seed, paths=int(doc.get("paths", 1000)),
-            noise_std=float(doc.get("noise_std", 0.0)),
-        )
-    else:
-        raise ValueError(f"unknown data kind {kind!r} (expected 'pde' or 'basket_put')")
+    with _config_fields(args.config):
+        seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
+        out = args.out or doc.get("output")
+        if out is None:
+            raise ValueError("no output path: pass --out or set \"output\" in the config")
+        kind = doc.get("kind", "pde")
+        if kind == "basket_put":
+            sampler = lognormal_from_dict(doc["model"])
+            weights = doc.get("weights")
+            weights = (
+                np.asarray(weights, dtype=float)
+                if weights is not None
+                else np.full(sampler.m, 1.0 / sampler.m)
+            )
+            make = partial(
+                gen_basket_put_dataset, sampler, weights, float(doc.get("M", 1.0)), int(doc["n"]),
+                noise_std=float(doc.get("noise_std", 0.0)), seed=seed,
+                paths=int(doc.get("paths", 100)),
+            )
+        elif kind == "pde":
+            make = partial(
+                gen_pde_dataset, triplet_from_dict(doc["model"]), payoff_from_dict(doc["payoff"]),
+                float(doc.get("M", 1.0)), float(doc.get("T", 1.0)),
+                int(doc["n"]), label_kind=doc.get("label_kind", "single_draw"),
+                seed=seed, paths=int(doc.get("paths", 1000)),
+                noise_std=float(doc.get("noise_std", 0.0)),
+            )
+        else:
+            raise ValueError(f"unknown data kind {kind!r} (expected 'pde' or 'basket_put')")
+    ds = make()
     save_dataset(ds, out)
     print(f"wrote {ds.n} rows (d={ds.d}, labels={ds.label_kind}, seed={seed}) to {out}")
     return 0
@@ -161,7 +174,8 @@ def _cmd_experiment(args) -> int:
         doc["master_seed"] = args.seed
     if args.out is not None:
         doc["output"] = args.out
-    spec = ExperimentSpec.from_dict(doc)
+    with _config_fields(args.config):
+        spec = ExperimentSpec.from_dict(doc)
     report = run_experiment(spec)
     summary = {
         "kind": report.kind,

@@ -28,7 +28,7 @@ from .data import (
 from .fourier import (
     construct_oracle_weights,
     gaussian_profile,
-    reference_for,
+    reference_convolution,
     sup_error_on_grid,
 )
 from .levy import (
@@ -576,9 +576,8 @@ def run_oracle_convergence(spec: ExperimentSpec) -> ExperimentReport:
         raise ValueError("oracle_convergence needs a compactly supported payoff")
     profile = gaussian_profile(payoff, spec.M, spec.C)
     cov = np.array([[2.0 * spec.C]])
-    reference = reference_for(payoff, cov)
     axis = np.linspace(-spec.M, spec.M, spec.grid_points)
-    ref_vals = np.array([reference([g]) for g in axis])
+    ref_vals = np.array([reference_convolution(payoff, cov, [g]) for g in axis])
 
     n_max = spec.N_list[-1]
     rows = []

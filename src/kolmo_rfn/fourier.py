@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-from .levy import Payoff, payoff_log_eval
+from .levy import Payoff, payoff_log_eval, truncated
 from .network import (
     HiddenWeights,
     RandomFeatureNet,
@@ -41,7 +41,6 @@ from .network import (
 
 __all__ = [
     "FourierProfile",
-    "ReferenceFunction",
     "phi_hat_tent",
     "phi_hat_indicator",
     "phi_hat_table",
@@ -51,7 +50,6 @@ __all__ = [
     "oracle_weight_envelope",
     "construct_oracle_weights",
     "reference_convolution",
-    "reference_for",
     "sup_error_on_grid",
     "truncate_payoff",
 ]
@@ -329,45 +327,6 @@ def construct_oracle_weights(hidden: HiddenWeights, profile: FourierProfile) -> 
 # reference targets
 
 
-def _log_support(payoff: Payoff) -> tuple[np.ndarray, np.ndarray]:
-    """Bounding box of the payoff's support in log coordinates."""
-
-    if payoff.kind == "tent":
-        c, w = payoff.params["center"], payoff.params["width"]
-        return np.array([c - w]), np.array([c + w])
-    if payoff.kind == "indicator":
-        return payoff.params["lo"], payoff.params["hi"]
-    if payoff.kind == "table":
-        xs = payoff.params["xs"]
-        return np.array([xs[0]]), np.array([xs[-1]])
-    if payoff.kind == "truncated":
-        bound = payoff.params["bound"]
-        inner = payoff.params["inner"]
-        try:
-            lo, hi = _log_support(inner)
-        except ValueError:
-            d = 1 if inner.kind in ("tent", "table") else None
-            if d is None:
-                d = inner.params.get("d") or inner.params["weights"].shape[0]
-            lo, hi = np.full(d, -bound), np.full(d, bound)
-        return np.maximum(lo, -bound), np.minimum(hi, bound)
-    raise ValueError(f"payoff kind {payoff.kind!r} has unbounded log-support")
-
-
-def _kinks_1d(payoff: Payoff) -> list[float]:
-    if payoff.kind == "tent":
-        c, w = payoff.params["center"], payoff.params["width"]
-        return [c - w, c, c + w]
-    if payoff.kind == "indicator":
-        return [payoff.params["lo"][0], payoff.params["hi"][0]]
-    if payoff.kind == "table":
-        return list(payoff.params["xs"])
-    if payoff.kind == "truncated":
-        b = payoff.params["bound"]
-        return sorted(set(_kinks_1d(payoff.params["inner"]) + [-b, b]))
-    return []
-
-
 def reference_convolution(payoff: Payoff, cov, x) -> float:
     """H(x) = E[Phi(x + V)] for Gaussian V by adaptive quadrature, d <= 2.
 
@@ -383,7 +342,9 @@ def reference_convolution(payoff: Payoff, cov, x) -> float:
         raise ValueError(f"covariance is {cov.shape[0]}-dim, x is {d}-dim")
     if not cov.any():
         return float(payoff_log_eval(payoff, x))
-    lo, hi = _log_support(payoff)
+    if payoff.support is None:
+        raise ValueError(f"payoff kind {payoff.kind!r} has unbounded log-support")
+    lo, hi = payoff.support
 
     if d == 1:
         sd = math.sqrt(cov[0, 0])
@@ -394,7 +355,7 @@ def reference_convolution(payoff: Payoff, cov, x) -> float:
             )
 
         a, b = lo[0] - x[0], hi[0] - x[0]
-        pts = sorted({min(max(k - x[0], a), b) for k in _kinks_1d(payoff)})
+        pts = sorted({min(max(k - x[0], a), b) for k in payoff.kinks})
         val, _ = integrate.quad(f, a, b, points=pts, limit=200, epsabs=1e-12, epsrel=1e-10)
         return float(val)
 
@@ -416,40 +377,16 @@ def reference_convolution(payoff: Payoff, cov, x) -> float:
     return float(val)
 
 
-@dataclass(frozen=True)
-class ReferenceFunction:
-    """Pointwise-evaluable target H with its construction recorded."""
-
-    evaluator: Callable[[np.ndarray], float]
-    d: int
-    payoff: Payoff | None = None
-    cov: np.ndarray | None = None
-
-    def __call__(self, x) -> float:
-        return float(self.evaluator(x))
-
-
-def reference_for(payoff: Payoff, cov) -> ReferenceFunction:
-    """Reference H(x) = E[Phi(x + V)] built from convolution quadrature."""
-
-    cov = _check_psd(cov)
-    return ReferenceFunction(
-        evaluator=lambda x: reference_convolution(payoff, cov, x),
-        d=cov.shape[0],
-        payoff=payoff,
-        cov=cov,
-    )
-
-
 def sup_error_on_grid(
     net: RandomFeatureNet,
-    reference,
+    reference: Callable[[np.ndarray], float] | None,
     M: float,
     grid_points_per_axis: int,
     reference_values: np.ndarray | None = None,
 ) -> float:
     """Max |net - reference| over a regular grid on [-M, M]^d, d <= 2.
 
+    ``reference`` maps one grid point to the target's value there.
     A grid maximum is a lower bound on the true sup. ``reference_values``
     short-circuits the (possibly expensive) reference evaluation when the
     caller has them cached; they must match the grid layout produced here
@@ -468,8 +405,7 @@ def sup_error_on_grid(
         g1, g2 = np.meshgrid(axis, axis, indexing="ij")
         pts = np.column_stack([g1.ravel(), g2.ravel()])
     if reference_values is None:
-        fn = reference.evaluator if isinstance(reference, ReferenceFunction) else reference
-        ref = np.array([fn(p) for p in pts])
+        ref = np.array([reference(p) for p in pts])
     else:
         ref = np.asarray(reference_values, dtype=float).ravel()
         if ref.shape[0] != pts.shape[0]:
@@ -488,4 +424,4 @@ def truncate_payoff(phi: Payoff, M: float, R: float) -> Payoff:
         raise ValueError("R must be positive")
     if not M > 0:
         raise ValueError("M must be positive")
-    return Payoff(kind="truncated", params={"inner": phi, "bound": float(M + R)})
+    return truncated(phi, M + R)

@@ -169,6 +169,15 @@ class TestValidationExits:
         cfg.write_text(json.dumps({"kind": "exotic", "n": 5}))
         assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
 
+    def test_gen_data_missing_payoff_field(self, tmp_path, pde_data_config, capsys):
+        doc = json.loads(pde_data_config.read_text())
+        del doc["payoff"]["params"]["strike"]
+        pde_data_config.write_text(json.dumps(doc))
+        assert main(["gen-data", "--config", str(pde_data_config), "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "data_cfg.json" in err and "'strike'" in err
+        assert "Traceback" not in err
+
     def test_train_without_hidden_or_N(self, tmp_path, pde_data_config, capsys):
         data = tmp_path / "d.csv"
         main(["gen-data", "--config", str(pde_data_config), "--out", str(data)])
@@ -233,6 +242,15 @@ class TestExperimentCommand:
     def test_missing_config(self, tmp_path, capsys):
         assert main(["experiment", "rate-curve", "--config",
                      str(tmp_path / "ghost.json")]) == 2
+
+    def test_model_missing_field(self, rate_config, capsys):
+        doc = json.loads(rate_config.read_text())
+        del doc["model"]["rho"]
+        rate_config.write_text(json.dumps(doc))
+        assert main(["experiment", "rate-curve", "--config", str(rate_config)]) == 1
+        err = capsys.readouterr().err
+        assert "rate_cfg.json" in err and "'rho'" in err
+        assert "Traceback" not in err
 
     def test_invalid_kind_choice(self, capsys):
         assert main(["experiment", "warp-drive", "--config", "x.json"]) == 1

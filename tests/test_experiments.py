@@ -261,12 +261,6 @@ class TestRateCurve:
         indep = run_rate_curve(small_rate_spec(independent_hidden=True))
         assert [r[1] for r in nested.rows] != [r[1] for r in indep.rows]
 
-    def test_thread_count_does_not_change_rows(self, monkeypatch):
-        base = run_rate_curve(small_rate_spec())
-        monkeypatch.setenv("KOLMO_RFN_THREADS", "3")
-        threaded = run_rate_curve(small_rate_spec())
-        assert rows_without_wall(base) == rows_without_wall(threaded)
-
     def test_report_files_and_slope_refit(self, tmp_path):
         out = tmp_path / "runs" / "rate"
         rep = run_rate_curve(small_rate_spec(output_path=str(out)))

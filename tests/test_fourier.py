@@ -7,7 +7,6 @@ from scipy.special import ndtr
 
 from kolmo_rfn.fourier import (
     FourierProfile,
-    ReferenceFunction,
     alpha,
     char_fn_gaussian,
     construct_oracle_weights,
@@ -17,7 +16,6 @@ from kolmo_rfn.fourier import (
     phi_hat_table,
     phi_hat_tent,
     reference_convolution,
-    reference_for,
     sup_error_on_grid,
     truncate_payoff,
 )
@@ -408,12 +406,6 @@ class TestReferenceConvolution:
         with pytest.raises(ValueError):
             reference_convolution(tent(), np.eye(2), [0.0])
 
-    def test_reference_function_wrapper(self):
-        ref = reference_for(tent(0.0, 1.0), [[0.3]])
-        assert isinstance(ref, ReferenceFunction)
-        assert ref.d == 1
-        assert ref([0.3]) == pytest.approx(H_03, rel=1e-10)
-
 
 class TestSupErrorOnGrid:
     def make_net(self, seed=0, N=20, W=None, d=1):
@@ -499,9 +491,8 @@ class TestRateSanity:
         # mean over seeds: a 400-neuron oracle net beats a 10-neuron one
         prof = canonical_profile()
         spec = WeightDistributionSpec()
-        ref = reference_for(tent(0.0, 1.0), [[0.3]])
         grid = np.linspace(-1.0, 1.0, 101)
-        ref_vals = np.array([ref([g]) for g in grid])
+        ref_vals = np.array([reference_convolution(tent(0.0, 1.0), [[0.3]], [g]) for g in grid])
         errs = {10: [], 400: []}
         for seed in range(6):
             hidden = sample_hidden_weights(spec, N=400, d=1, seed=seed)

@@ -24,6 +24,7 @@ from kolmo_rfn.levy import (
     sqrt_sigma,
     table,
     tent,
+    truncated,
     verify_nondegeneracy,
 )
 from kolmo_rfn.rng import substream
@@ -307,15 +308,94 @@ class TestPayoffs:
             tent(0.3, 0.7),
             indicator([-1.0], [1.0]),
             table([0.0, 1.0], [1.0, 0.0]),
+            truncated(tent(0.3, 0.7), 0.4),
+            truncated(max_call(1.0, d=2), 0.5),
         ],
     )
     def test_payoff_dict_round_trip(self, po):
         back = payoff_from_dict(payoff_to_dict(po))
         assert back.kind == po.kind
         pts = np.exp(np.linspace(-0.5, 0.5, 7))
-        d = 3 if po.kind == "max_call" else (2 if po.kind == "basket_put" else 1)
-        s = np.tile(pts[:, None], (1, d))
+        s = np.tile(pts[:, None], (1, po.d))
         assert np.array_equal(payoff_eval(back, s), payoff_eval(po, s))
+
+    # each kind's dimension, log-support box (None: unbounded), 1-d kinks
+    # and serialized form, pinned as literals
+    @pytest.mark.parametrize(
+        "po, d, support, kinks, doc",
+        [
+            (max_call(1.1, d=3), 3, None, (), {"kind": "max_call", "params": {"strike": 1.1, "d": 3}}),
+            (
+                basket_put(1.2, [0.5, 0.25]), 2, None, (),
+                {"kind": "basket_put", "params": {"strike": 1.2, "weights": [0.5, 0.25]}},
+            ),
+            (
+                tent(0.25, 0.5), 1, ([-0.25], [0.75]), (-0.25, 0.25, 0.75),
+                {"kind": "tent", "params": {"center": 0.25, "width": 0.5}},
+            ),
+            (
+                indicator([-1.0, 0.5], [1.0, 2.0]), 2, ([-1.0, 0.5], [1.0, 2.0]), (-1.0, 1.0),
+                {"kind": "indicator", "params": {"lo": [-1.0, 0.5], "hi": [1.0, 2.0]}},
+            ),
+            (
+                table([0.0, 1.0, 2.5], [1.0, 0.0, 0.5]), 1, ([0.0], [2.5]), (0.0, 1.0, 2.5),
+                {"kind": "table", "params": {"xs": [0.0, 1.0, 2.5], "ys": [1.0, 0.0, 0.5]}},
+            ),
+            (
+                truncated(max_call(1.0, d=2), 2.0), 2, ([-2.0, -2.0], [2.0, 2.0]), (-2.0, 2.0),
+                {
+                    "kind": "truncated",
+                    "params": {
+                        "inner": {"kind": "max_call", "params": {"strike": 1.0, "d": 2}},
+                        "bound": 2.0,
+                    },
+                },
+            ),
+            (
+                truncated(indicator([-1.0, 0.5], [3.0, 2.0]), 1.5), 2, ([-1.0, 0.5], [1.5, 1.5]),
+                (-1.5, -1.0, 1.5, 3.0),
+                {
+                    "kind": "truncated",
+                    "params": {
+                        "inner": {"kind": "indicator", "params": {"lo": [-1.0, 0.5], "hi": [3.0, 2.0]}},
+                        "bound": 1.5,
+                    },
+                },
+            ),
+            (
+                truncated(tent(0.25, 0.5), 0.5), 1, ([-0.25], [0.5]), (-0.5, -0.25, 0.25, 0.5, 0.75),
+                {
+                    "kind": "truncated",
+                    "params": {
+                        "inner": {"kind": "tent", "params": {"center": 0.25, "width": 0.5}},
+                        "bound": 0.5,
+                    },
+                },
+            ),
+        ],
+        ids=[
+            "max_call", "basket_put", "tent", "indicator_2d", "table",
+            "truncated_max_call", "truncated_indicator_2d", "truncated_tent",
+        ],
+    )
+    def test_kind_facts_are_pinned(self, po, d, support, kinks, doc):
+        assert po.d == d
+        assert po.log_space == (po.kind not in ("max_call", "basket_put"))
+        if support is None:
+            assert po.support is None
+        else:
+            assert [a.tolist() for a in po.support] == list(support)
+        assert tuple(float(k) for k in po.kinks) == kinks
+        assert payoff_to_dict(po) == doc
+
+    def test_from_dict_rejects_unknown_kind_and_params(self):
+        with pytest.raises(ValueError, match="digital"):
+            payoff_from_dict({"kind": "digital", "params": {"strike": 1.0}})
+        with pytest.raises(ValueError, match="strik"):
+            payoff_from_dict({"kind": "max_call", "params": {"strike": 1.0, "strik": 2.0}})
+        inner = {"kind": "tent", "params": {"center": 0.0, "width": 1.0, "height": 2.0}}
+        with pytest.raises(ValueError, match="height"):
+            payoff_from_dict({"kind": "truncated", "params": {"inner": inner, "bound": 1.0}})
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
