@@ -53,19 +53,31 @@ def _load_json(path) -> dict:
     p = Path(path)
     text = p.read_text()  # FileNotFoundError carries the path to the handler
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON in {p}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"config {p}: expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 @contextmanager
 def _config_fields(path):
-    """Report a missing or mistyped field of the config at ``path`` as a ValueError."""
+    """Report a bad field of the config at ``path`` as a ValueError naming the file."""
 
     try:
         yield
     except (KeyError, TypeError) as exc:
         raise ValueError(f"config {path}: missing or mistyped field: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"config {path}: {exc}") from exc
+
+
+_COMMON_DATA_KEYS = {"kind", "model", "M", "n", "paths", "noise_std", "seed", "output"}
+_DATA_KEYS = {
+    "pde": _COMMON_DATA_KEYS | {"payoff", "T", "label_kind"},
+    "basket_put": _COMMON_DATA_KEYS | {"weights"},
+}
 
 
 def _weight_spec(args) -> WeightDistributionSpec:
@@ -88,6 +100,11 @@ def _cmd_gen_data(args) -> int:
         if out is None:
             raise ValueError("no output path: pass --out or set \"output\" in the config")
         kind = doc.get("kind", "pde")
+        if kind not in _DATA_KEYS:
+            raise ValueError(f"unknown data kind {kind!r} (expected 'pde' or 'basket_put')")
+        unknown = sorted(set(doc) - _DATA_KEYS[kind])
+        if unknown:
+            raise ValueError(f"unknown keys {unknown} for data kind {kind!r}")
         if kind == "basket_put":
             sampler = lognormal_from_dict(doc["model"])
             weights = doc.get("weights")
@@ -101,7 +118,7 @@ def _cmd_gen_data(args) -> int:
                 noise_std=float(doc.get("noise_std", 0.0)), seed=seed,
                 paths=int(doc.get("paths", 100)),
             )
-        elif kind == "pde":
+        else:
             make = partial(
                 gen_pde_dataset, triplet_from_dict(doc["model"]), payoff_from_dict(doc["payoff"]),
                 float(doc.get("M", 1.0)), float(doc.get("T", 1.0)),
@@ -109,8 +126,6 @@ def _cmd_gen_data(args) -> int:
                 seed=seed, paths=int(doc.get("paths", 1000)),
                 noise_std=float(doc.get("noise_std", 0.0)),
             )
-        else:
-            raise ValueError(f"unknown data kind {kind!r} (expected 'pde' or 'basket_put')")
     ds = make()
     save_dataset(ds, out)
     print(f"wrote {ds.n} rows (d={ds.d}, labels={ds.label_kind}, seed={seed}) to {out}")

@@ -311,7 +311,10 @@ def save_dataset(ds: Dataset, path) -> None:
     path = Path(path)
     header = ",".join([f"x_{j + 1}" for j in range(ds.d)] + ["y"])
     body = np.column_stack([ds.X, ds.Y])
-    np.savetxt(path, body, delimiter=",", header=header, comments="", fmt="%.17g")
+    # the bytes np.savetxt(fmt="%.17g") writes, formatted in one call
+    # instead of one call per row
+    row = ",".join(["%.17g"] * body.shape[1]) + "\n"
+    path.write_text(header + "\n" + (row * body.shape[0]) % tuple(body.ravel().tolist()))
     sidecar = {
         "label_kind": ds.label_kind,
         "seed": int(ds.seed),

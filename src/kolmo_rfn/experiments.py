@@ -70,6 +70,14 @@ __all__ = [
 
 EXPERIMENT_KINDS = ("rate_curve", "basket_put", "oracle_convergence", "sgd_vs_ols")
 
+# the keys ExperimentSpec.to_dict writes; from_dict rejects any other
+_SPEC_KEYS = frozenset({
+    "kind", "model", "payoff", "M", "T", "n_train", "n_test", "N_list", "train",
+    "master_seed", "output", "label_kind", "paths", "noise_std", "test_label_kind",
+    "test_paths", "weights", "independent_hidden", "basket_weights", "C",
+    "oracle_seeds", "sgd_seeds", "grid_points", "checkpoints",
+})
+
 # substream ids under the master seed
 _TRAIN_DATA = 1
 _TEST_DATA = 2
@@ -263,6 +271,9 @@ class ExperimentSpec:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentSpec":
+        unknown = sorted(set(doc) - _SPEC_KEYS)
+        if unknown:
+            raise ValueError(f"unknown keys {unknown} in experiment config")
         kind = str(doc["kind"]).replace("-", "_")
         train = doc.get("train", {"method": "ols"})
         if isinstance(train, dict):

@@ -115,7 +115,7 @@ class TrainConfig:
 class FitDiagnostics:
     empirical_risk: float
     lambda_multiplier: float | None = None  # constrained only
-    effective_rank: int | None = None  # ols only
+    effective_rank: int | None = None  # ols and constrained
     steps_run: int | None = None  # sgd only
 
     def __post_init__(self) -> None:
@@ -184,15 +184,23 @@ def fit_constrained(design, Y, lam: float) -> tuple[np.ndarray, FitDiagnostics]:
     found by doubling a bracket and bisecting. One SVD of X serves
     every f evaluation: with X = U diag(s) V', f(t) is the norm of
     s_i (U'Y)_i / (s_i^2 + t).
+
+    The SVD is taken from the R of one Householder QR of [X | Y]
+    (Chan's R-SVD): with R's leading block R_X = U_R diag(s) V' and
+    last column Q'Y, X has the same s and V, and U'Y = U_R' Q'Y, so
+    only a min(n, N) x N matrix is ever decomposed.
     """
 
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
     X, y = _check_xy(design, Y)
-    u, s, vt = np.linalg.svd(X, full_matrices=False)
+    N = X.shape[1]
+    r = np.linalg.qr(np.column_stack([X, y]), mode="r")
+    k = min(r.shape[0], N)
+    u, s, vt = np.linalg.svd(r[:k, :N], full_matrices=False)
     keep = s > _SVD_RCOND * s[0] if s.size and s[0] > 0 else np.zeros(s.shape, dtype=bool)
     s = s[keep]
-    c = u.T[keep] @ y
+    c = u.T[keep] @ r[:k, N]
     vt = vt[keep]
 
     def solution_coeffs(t: float) -> np.ndarray:
@@ -200,9 +208,10 @@ def fit_constrained(design, Y, lam: float) -> tuple[np.ndarray, FitDiagnostics]:
 
     min_norm = math.sqrt(float(np.sum((c / s) ** 2))) if s.size else 0.0
     if min_norm <= lam:
-        W = vt.T @ (c / s) if s.size else np.zeros(X.shape[1])
+        W = vt.T @ (c / s) if s.size else np.zeros(N)
         diag = FitDiagnostics(
-            empirical_risk=_mean_sq_residual(X, y, W), lambda_multiplier=0.0
+            empirical_risk=_mean_sq_residual(X, y, W), lambda_multiplier=0.0,
+            effective_rank=s.size,
         )
         return W, diag
 
@@ -234,7 +243,8 @@ def fit_constrained(design, Y, lam: float) -> tuple[np.ndarray, FitDiagnostics]:
 
     W = vt.T @ solution_coeffs(lam_mult)
     diag = FitDiagnostics(
-        empirical_risk=_mean_sq_residual(X, y, W), lambda_multiplier=lam_mult
+        empirical_risk=_mean_sq_residual(X, y, W), lambda_multiplier=lam_mult,
+        effective_rank=s.size,
     )
     return W, diag
 

@@ -160,6 +160,24 @@ class TestValidationExits:
         assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
         assert "bad.json" in capsys.readouterr().err
 
+    def test_gen_data_non_object_config(self, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1, 2]")
+        assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "list.json" in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_gen_data_unknown_key(self, tmp_path, pde_data_config, capsys):
+        doc = json.loads(pde_data_config.read_text())
+        doc["n_trian"] = 5000
+        pde_data_config.write_text(json.dumps(doc))
+        out = tmp_path / "x.csv"
+        assert main(["gen-data", "--config", str(pde_data_config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "data_cfg.json" in err and "n_trian" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_gen_data_without_output(self, tmp_path, pde_data_config, capsys):
         assert main(["gen-data", "--config", str(pde_data_config)]) == 1
         assert "--out" in capsys.readouterr().err
@@ -251,6 +269,24 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert "rate_cfg.json" in err and "'rho'" in err
         assert "Traceback" not in err
+
+    def test_non_object_config(self, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1, 2]")
+        assert main(["experiment", "rate-curve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "list.json" in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_unknown_key(self, tmp_path, rate_config, capsys):
+        doc = json.loads(rate_config.read_text())
+        doc["n_trian"] = 5000
+        rate_config.write_text(json.dumps(doc))
+        out = tmp_path / "r"
+        assert main(["experiment", "rate-curve", "--config", str(rate_config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "rate_cfg.json" in err and "n_trian" in err and "Traceback" not in err
+        assert not out.with_suffix(".csv").exists()
 
     def test_invalid_kind_choice(self, capsys):
         assert main(["experiment", "warp-drive", "--config", "x.json"]) == 1

@@ -307,6 +307,19 @@ class TestRoundTrip:
         assert back.paths == ds.paths and back.noise_std == ds.noise_std
         assert back.label_se is None
 
+    @pytest.mark.parametrize("d,n", [(1, 1), (5, 1), (1, 0), (5, 0), (1, 7), (5, 7)])
+    def test_csv_bytes_match_savetxt(self, tmp_path, d, n):
+        specials = [-0.0, 1e-300, 1e300, 3.0, -2.0, 0.1, -1e-300, 1 / 3]
+        values = np.resize(specials, n * (d + 1)).reshape(n, d + 1)
+        ds = Dataset(X=values[:, :d], Y=values[:, d], label_kind="single_draw", seed=0, M=1.0, T=1.0)
+        p, ref = tmp_path / "ds.csv", tmp_path / "ref.csv"
+        save_dataset(ds, p)
+        header = ",".join([f"x_{j + 1}" for j in range(d)] + ["y"])
+        np.savetxt(ref, values, delimiter=",", header=header, comments="", fmt="%.17g")
+        assert p.read_bytes() == ref.read_bytes()
+        if n == 0:
+            assert p.read_bytes() == (header + "\n").encode()
+
     def test_header_names_columns(self, tmp_path):
         ds = gen_pde_dataset(gbm(d=3), max_call(1.0, d=3), M=1.0, T=0.0, n=2, seed=0)
         p = tmp_path / "ds.csv"

@@ -113,6 +113,15 @@ class TestSpecValidation:
         assert again.N_list == spec.N_list
         assert again.train == spec.train
 
+    def test_dict_round_trip_with_output_path(self):
+        doc = small_rate_spec(output_path="runs/r").to_dict()
+        assert ExperimentSpec.from_dict(doc).to_dict() == doc
+
+    def test_unknown_top_level_key_rejected(self):
+        doc = {"kind": "rate_curve", "n_trian": 5000, "N_list": [5]}
+        with pytest.raises(ValueError, match="n_trian"):
+            ExperimentSpec.from_dict(doc)
+
     def test_hash_ignores_output_path(self):
         a = small_rate_spec(output_path=None)
         b = small_rate_spec(output_path="somewhere/else")

@@ -216,6 +216,105 @@ class TestConstrained:
         with pytest.raises(ValueError):
             fit_constrained([[1.0]], [1.0], lam=0.0)
 
+    def test_effective_rank_matches_ols(self):
+        rng = np.random.default_rng(10)
+        for n, N, rank in [(30, 10, 4), (10, 30, 3)]:
+            X, y = random_instance(rng, n, N, rank)
+            _, free = fit_ols(X, y)
+            for lam in (1e-3, 1e3):
+                _, tied = fit_constrained(X, y, lam)
+                assert tied.effective_rank == free.effective_rank == rank
+
+
+def fit_constrained_full_svd(X, y, lam):
+    """The ball-constrained fit from a full SVD of the n x N design.
+
+    Reference for ``fit_constrained``, which takes the same SVD from
+    the R of a QR of [X | y]: same rank cut, bracket and bisection.
+    Returns (W, multiplier, effective rank, empirical risk).
+    """
+
+    u, s, vt = np.linalg.svd(X, full_matrices=False)
+    keep = s > 1e-10 * s[0] if s.size and s[0] > 0 else np.zeros(s.shape, dtype=bool)
+    s, c, vt = s[keep], u.T[keep] @ y, vt[keep]
+
+    def coeffs(t):
+        return s * c / (s * s + t)
+
+    def f(t):
+        return float(np.linalg.norm(coeffs(t)))
+
+    if not s.size or math.sqrt(float(np.sum((c / s) ** 2))) <= lam:
+        W = vt.T @ (c / s) if s.size else np.zeros(X.shape[1])
+        mult = 0.0
+    else:
+        hi = 1.0
+        while f(hi) > lam:
+            hi *= 2.0
+        lo, mult = 0.0, hi
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            val = f(mid)
+            mult = mid
+            if abs(val - lam) <= 1e-8 * lam:
+                break
+            if val > lam:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-10 * hi:
+                mult = hi
+                break
+        W = vt.T @ coeffs(mult)
+    r = X @ W - y
+    return W, mult, int(keep.sum()), float(r @ r / y.size)
+
+
+def _constrained_cases():
+    rng = np.random.default_rng(11)
+    cases = []
+    for n, N, rank in [
+        (40, 8, None), (8, 40, None), (12, 12, None),  # n > N, n < N, n = N
+        (40, 12, 5), (9, 30, 4), (15, 15, 6),  # rank-deficient
+    ]:
+        X, y = random_instance(rng, n, N, rank)
+        cases.append(pytest.param(X, y, id=f"{n}x{N}" + (f"_rank{rank}" if rank else "")))
+    X, y = random_instance(rng, 50, 10)
+    X[:, [0, 4, 9]] = 0.0
+    cases.append(pytest.param(X, y, id="dead_columns"))
+    hidden = sample_hidden_weights(WeightDistributionSpec(), N=60, d=2, seed=3)
+    Z = np.random.default_rng(12).uniform(-1, 1, (80, 2))
+    cases.append(pytest.param(design_matrix(hidden, Z).values, Z[:, 0] ** 2 + Z[:, 1], id="relu_design"))
+    cases.append(pytest.param(np.zeros((6, 4)), rng.standard_normal(6), id="zero_design"))
+    return cases
+
+
+class TestConstrainedAgainstFullSvd:
+    @pytest.mark.parametrize("X,y", _constrained_cases())
+    def test_matches_full_svd_reference(self, X, y):
+        W_free, _ = fit_ols(X, y)
+        free_norm = float(np.linalg.norm(W_free))
+        # an interpolating fit has a risk at rounding level, where only an
+        # absolute floor on the label scale is meaningful
+        risk_floor = 1e-20 * float(y @ y) / y.size
+        lams = [2.0 * free_norm + 1.0, 1e-3] + ([0.9 * free_norm, 0.3 * free_norm] if free_norm else [])
+        active = []
+        for lam in lams:
+            W_ref, mult_ref, rank_ref, risk_ref = fit_constrained_full_svd(X, y, lam)
+            W, diag = fit_constrained(X, y, lam)
+            assert (diag.lambda_multiplier > 0) == (mult_ref > 0), lam
+            active.append(mult_ref > 0)
+            assert diag.effective_rank == rank_ref
+            assert diag.empirical_risk == pytest.approx(risk_ref, rel=1e-10, abs=risk_floor)
+            assert np.linalg.norm(W - W_ref) <= 1e-6 * max(np.linalg.norm(W_ref), 1e-300)
+            if mult_ref > 0:
+                assert diag.lambda_multiplier == pytest.approx(mult_ref, rel=1e-6)
+            else:
+                assert diag.lambda_multiplier == 0.0
+        # the slack radius leaves the ball inactive; every smaller one binds
+        # unless the minimum-norm fit is zero
+        assert active == [False] + [free_norm > 0] * (len(lams) - 1)
+
 
 class TestProjectBall:
     def test_inside_unchanged(self):
