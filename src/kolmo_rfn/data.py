@@ -331,7 +331,12 @@ def save_dataset(ds: Dataset, path) -> None:
 
 def load_dataset(path) -> Dataset:
     path = Path(path)
-    body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with path.open() as fh:
+        header = fh.readline()
+    if path.stat().st_size > len(header):
+        body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    else:  # no rows: the header still names the columns, so d survives
+        body = np.empty((0, len(header.split(","))))
     sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
     return Dataset(
         X=body[:, :-1],

@@ -49,7 +49,7 @@ from .network import (
     subnetwork,
 )
 from .rng import derive_seed
-from .train import TrainConfig, fit, fit_ols, fit_sgd
+from .train import TrainConfig, fit, fit_ols, fit_sgd, fold_rows, prefix_problem, risk_from_r
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -77,6 +77,16 @@ _SPEC_KEYS = frozenset({
     "test_paths", "weights", "independent_hidden", "basket_weights", "C",
     "oracle_seeds", "sgd_seeds", "grid_points", "checkpoints",
 })
+
+# design rows per TSQR fold and per held-out block of a rate curve. On
+# the 2e4 x 160 desk curve (2 cores, OpenBLAS 0.3.31) a whole op peaked
+# at 107 MB in about 0.71 s with 2 048 rows, 115 MB in 0.66 s with 4 096
+# and 139 MB in 0.59 s with 8 192, against 150 MB in 0.69 s for the
+# whole design; 4 096 keeps most of the memory saving at no time cost
+_ROW_BLOCK = 4096
+
+# what a per-width fit may raise without aborting the whole curve
+_NUMERIC_FAILURES = (np.linalg.LinAlgError, ArithmeticError, ValueError)
 
 # substream ids under the master seed
 _TRAIN_DATA = 1
@@ -279,6 +289,9 @@ class ExperimentSpec:
         if isinstance(train, dict):
             train = [train]
         weights = doc.get("weights", {})
+        unknown = sorted(set(weights) - {"nu", "b_dof"})
+        if unknown:
+            raise ValueError(f"unknown keys {unknown} in weights")
         return ExperimentSpec(
             kind=kind,
             model=_model_from_dict(doc["model"]) if doc.get("model") else None,
@@ -430,9 +443,13 @@ def run_rate_curve(spec: ExperimentSpec, datasets: tuple[Dataset, Dataset] | Non
     """Prediction error against network width on PDE data.
 
     Datasets are generated once from the model and payoff (or supplied
-    by the caller, e.g. for synthetic sanity checks); each N then gets
-    its own hidden layer, nested by default, and one trainer run. Rows
-    with failed fits keep their slot with a NaN error so the report
+    by the caller, e.g. for synthetic sanity checks). Nested widths
+    share one hidden layer and one R factor of its train design, folded
+    from row blocks, and every width is solved from that R; with
+    ``independent_hidden`` each width gets its own layer and its own R.
+    Held-out errors come from row blocks of the test design as well, so
+    neither design is ever built whole (SGD alone needs the train rows).
+    Rows with failed fits keep their slot with a NaN error so the report
     stays one-row-per-N.
     """
 
@@ -451,49 +468,103 @@ def run_rate_curve(spec: ExperimentSpec, datasets: tuple[Dataset, Dataset] | Non
         )
     else:
         train_ds, test_ds = datasets
-    d = train_ds.d
     hidden_seed = derive_seed(spec.master_seed, _HIDDEN)
+    if spec.independent_hidden:
+        layers = [((N,), derive_seed(hidden_seed, N)) for N in spec.N_list]
+    else:
+        layers = [(spec.N_list, hidden_seed)]
 
-    shared = None
-    if not spec.independent_hidden:
-        hidden_full = sample_hidden_weights(spec.weight_spec, spec.N_list[-1], d, hidden_seed)
-        shared = (
-            design_matrix(hidden_full, train_ds.X).values,
-            design_matrix(hidden_full, test_ds.X).values,
-        )
+    fits: dict[int, tuple] = {}
+    failed: dict[int, str] = {}
+    for widths, seed in layers:
+        try:
+            hidden = sample_hidden_weights(spec.weight_spec, widths[-1], train_ds.d, seed)
+            solved = _fit_widths(hidden, widths, train_ds, cfg, failed)
+            for N, e_hat in _held_out_rmse(hidden, solved, test_ds, cfg.cap).items():
+                fits[N] = (e_hat, *solved[N][1:])
+        except _NUMERIC_FAILURES as exc:  # the layer's R or held-out pass failed: all its widths did
+            for N in widths:
+                failed.setdefault(N, str(exc))
 
     rows = []
-    errors: list[dict] = []
+    ranks = {}
     for N in spec.N_list:
-        t0 = time.perf_counter()
-        try:
-            if shared is None:
-                hidden = sample_hidden_weights(
-                    spec.weight_spec, N, d, derive_seed(hidden_seed, N)
-                )
-                x_train = design_matrix(hidden, train_ds.X).values
-                x_test = design_matrix(hidden, test_ds.X).values
-            else:
-                x_train = shared[0][:, :N]
-                x_test = shared[1][:, :N]
-            W, diag = fit(x_train, train_ds.Y, cfg)
-            e_hat = _capped_rmse(x_test, W, test_ds.Y, cfg.cap)
-            risk = diag.empirical_risk
-        except Exception as exc:  # per-N failures recorded, not fatal
-            errors.append({"N": N, "error": str(exc)})
-            e_hat = risk = math.nan
-        rows.append((N, e_hat, risk, (time.perf_counter() - t0) * 1e3))
+        e_hat, diag, wall_ms = fits.get(N, (math.nan, None, math.nan))
+        rows.append((N, e_hat, diag.empirical_risk if diag else math.nan, wall_ms))
+        if diag is not None and diag.effective_rank is not None:
+            ranks[str(N)] = diag.effective_rank
     e_hats = [r[1] for r in rows]
     extras = {"label_kind": train_ds.label_kind, "n_train": train_ds.n, "n_test": test_ds.n}
     if test_ds.label_se is not None:
         # the Monte Carlo noise floor under e_hat
         extras["test_label_se_rms"] = float(np.sqrt(np.mean(test_ds.label_se ** 2)))
-    if errors:
-        extras["errors"] = errors
+    if ranks:
+        extras["effective_rank"] = ranks
+    if failed:
+        extras["errors"] = [{"N": N, "error": failed[N]} for N in spec.N_list if N in failed]
     return _finish(
         spec, ("N", "e_hat", "train_risk", "wall_ms"), rows,
         fit_log_slope(spec.N_list, e_hats), e_hats[0], extras,
     )
+
+
+def _row_blocks(n: int) -> list[slice]:
+    return [slice(i, i + _ROW_BLOCK) for i in range(0, n, _ROW_BLOCK)]
+
+
+def _fit_widths(hidden, widths, train_ds: Dataset, cfg: TrainConfig, failed: dict) -> dict:
+    """Fit each width's prefix of ``hidden``: N -> (W, diagnostics, solve ms).
+
+    OLS and the constrained fit solve the small problem cut from one R
+    of the streamed train design; SGD samples rows, so it alone gets the
+    design. A width whose own solve fails is recorded in ``failed``.
+    """
+
+    if cfg.method == "sgd":
+        x_train = design_matrix(hidden, train_ds.X).values
+    else:
+        r = None
+        for rows in _row_blocks(train_ds.n):
+            r = fold_rows(r, design_matrix(hidden, train_ds.X[rows]), train_ds.Y[rows])
+        if r is None:
+            raise ValueError("cannot fit on empty data")
+
+    solved = {}
+    for N in widths:
+        t0 = time.perf_counter()
+        try:
+            if cfg.method == "sgd":
+                W, diag = fit(x_train[:, :N], train_ds.Y, cfg)
+            else:
+                W, diag = fit(*prefix_problem(r, N), cfg)
+                diag = replace(diag, empirical_risk=risk_from_r(r, W, train_ds.n))
+        except _NUMERIC_FAILURES as exc:
+            failed[N] = str(exc)
+            continue
+        solved[N] = (W, diag, (time.perf_counter() - t0) * 1e3)
+    return solved
+
+
+def _held_out_rmse(hidden, solved: dict, test_ds: Dataset, cap) -> dict[int, float]:
+    """Capped held-out RMSE of every solved width, one gemm per test block.
+
+    The columns of the stack are the widths' W, zero-padded to the full
+    layer, so one product of a block's design gives every width's
+    predictions.
+    """
+
+    widths = list(solved)
+    stack = np.zeros((hidden.N, len(widths)))
+    for j, N in enumerate(widths):
+        stack[:N, j] = solved[N][0]
+    sse = np.zeros(len(widths))
+    for rows in _row_blocks(test_ds.n):
+        resid = design_matrix(hidden, test_ds.X[rows]).values @ stack
+        if cap is not None:
+            np.clip(resid, -cap, cap, out=resid)
+        resid -= test_ds.Y[rows, None]
+        sse += np.einsum("ij,ij->j", resid, resid)
+    return {N: math.sqrt(float(sse[j]) / test_ds.n) for j, N in enumerate(widths)}
 
 
 # ---------------------------------------------------------------------------

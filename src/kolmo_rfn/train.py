@@ -11,6 +11,11 @@ together with diagnostics.
   with ``W = (X'X + Lambda I)^{-1} X'Y``.
 * ``fit_sgd``: projected mini-batch SGD with step size eta0/sqrt(t).
 
+The first two also run without the design: ``fold_rows`` folds row
+blocks of ``[X | Y]`` into one R factor, ``prefix_problem`` cuts from
+it a small problem with the same solutions as any leading-column
+width, and ``risk_from_r`` gives the design's empirical risk.
+
 The output cap, when a model carries one, acts at prediction time
 only; no trainer ever sees it.
 """
@@ -31,6 +36,9 @@ __all__ = [
     "FitDiagnostics",
     "fit_ols",
     "fit_constrained",
+    "fold_rows",
+    "prefix_problem",
+    "risk_from_r",
     "project_ball",
     "fit_sgd",
     "fit",
@@ -44,6 +52,9 @@ _SGD_INDEX_STREAM = 60
 _SVD_RCOND = 1e-10
 
 METHODS = ("ols", "constrained", "sgd")
+
+# the keys TrainConfig.to_dict writes; from_dict rejects any other
+_CONFIG_KEYS = frozenset({"method", "seed", "lambda", "eta0", "batch", "steps", "cap", "average"})
 
 
 @dataclass(frozen=True)
@@ -99,6 +110,9 @@ class TrainConfig:
 
     @staticmethod
     def from_dict(payload: dict) -> "TrainConfig":
+        unknown = sorted(set(payload) - _CONFIG_KEYS)
+        if unknown:
+            raise ValueError(f"unknown keys {unknown} in train config")
         return TrainConfig(
             method=payload["method"],
             lam=payload.get("lambda"),
@@ -247,6 +261,52 @@ def fit_constrained(design, Y, lam: float) -> tuple[np.ndarray, FitDiagnostics]:
         effective_rank=s.size,
     )
     return W, diag
+
+
+def fold_rows(r: np.ndarray | None, design, Y) -> np.ndarray:
+    """Fold the rows ``[X | Y]`` into the R of a running TSQR.
+
+    ``r`` is the R factor of every row folded so far (None before the
+    first block). The R of the QR of ``r`` stacked on the new rows is
+    the R of all rows together, so a design streamed in row blocks is
+    never held whole (Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci.
+    Comput. 2012).
+    """
+
+    X, y = _check_xy(design, Y)
+    rows = np.column_stack([X, y])
+    if r is not None:
+        rows = np.vstack([r, rows])
+    return np.linalg.qr(rows, mode="r")
+
+
+def prefix_problem(r: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The least-squares problem of the first ``N`` design columns, from R.
+
+    With ``R`` the factor of ``[X | Y]``, the leading ``k = min(rows, N)``
+    rows of its first ``N`` columns and of its last column Q'Y make a
+    k x N problem whose squared residual differs from the design's by a
+    constant. Any trainer that sees only the residual (``fit_ols``,
+    ``fit_constrained``) finds the same W on it, and it has the singular
+    values of those N columns, hence the same effective rank; its risk
+    is not the design's (see ``risk_from_r``).
+    """
+
+    k = min(r.shape[0], N)
+    return r[:k, :N], r[:k, -1]
+
+
+def risk_from_r(r: np.ndarray, W: np.ndarray, n: int) -> float:
+    """Empirical risk over the ``n`` rows behind ``r`` of the first ``W.size`` features.
+
+    The residual of the prefix problem plus the part of Q'Y that those
+    columns cannot reach.
+    """
+
+    rx, qty = prefix_problem(r, W.size)
+    res = rx @ W - qty
+    tail = r[qty.size:, -1]
+    return float((res @ res + tail @ tail) / n)
 
 
 def project_ball(w, lam: float) -> np.ndarray:

@@ -284,7 +284,7 @@ def test_criterion_7_basket_put_rmse():
     assert rmse <= 5e-3
 
 
-def test_criterion_8_sampling_moments_and_thread_invariance(monkeypatch):
+def test_criterion_8_sampling_moments_and_prefix_stability():
     spec = WeightDistributionSpec()  # nu = 5, b_dof = 2
     moment_lines = []
     moments_ok = True
@@ -301,7 +301,9 @@ def test_criterion_8_sampling_moments_and_thread_invariance(monkeypatch):
     once = sample_hidden_weights(spec, 1000, 10, seed=99)
     bitwise_ok = np.array_equal(once.A, again.A) and np.array_equal(once.B, again.B)
 
-    # a full experiment must not notice the worker count
+    # a subset of the widths must reproduce the full run's rows: every
+    # width solves from one streamed R whose size follows the largest
+    # width, so the rows agree to rounding, not bit for bit
     doc = {
         "kind": "rate_curve",
         "model": {"type": "equal_correlation", "sigma": 0.2, "rho": 0.2, "d": 2},
@@ -309,19 +311,19 @@ def test_criterion_8_sampling_moments_and_thread_invariance(monkeypatch):
         "M": 1.0, "T": 1.0, "n_train": 500, "n_test": 100, "paths": 30,
         "N_list": [5, 10, 20], "train": {"method": "ols"}, "master_seed": 1,
     }
-    monkeypatch.setenv("KOLMO_RFN_THREADS", "1")
-    rows_serial = [r[:3] for r in run_rate_curve(ExperimentSpec.from_dict(doc)).rows]
-    monkeypatch.setenv("KOLMO_RFN_THREADS", "4")
-    rows_pooled = [r[:3] for r in run_rate_curve(ExperimentSpec.from_dict(doc)).rows]
-    threads_ok = rows_serial == rows_pooled
+    rows_full = [r[:3] for r in run_rate_curve(ExperimentSpec.from_dict(doc)).rows]
+    rows_part = [r[:3] for r in run_rate_curve(ExperimentSpec.from_dict({**doc, "N_list": [5, 10]})).rows]
+    prefix_ok = [r[0] for r in rows_part] == [5, 10] and all(
+        math.isclose(a, b, rel_tol=1e-12) for p, f in zip(rows_part, rows_full) for a, b in zip(p, f)
+    )
 
-    ok = moments_ok and bitwise_ok and threads_ok
+    ok = moments_ok and bitwise_ok and prefix_ok
     report(
         8, "E||A_1||^2 within 5% of nu d/(nu-2); seeded runs bit-exact", ok,
         "; ".join(moment_lines)
         + f"; repeat-draw bitwise {'equal' if bitwise_ok else 'DIFFERENT'}"
-        + f"; 1-thread vs 4-thread rows {'identical' if threads_ok else 'DIFFERENT'}",
+        + f"; N_list [5, 10] vs [5, 10, 20] rows {'match' if prefix_ok else 'DIFFERENT'}",
     )
     assert moments_ok
     assert bitwise_ok
-    assert threads_ok
+    assert prefix_ok

@@ -288,6 +288,25 @@ class TestExperimentCommand:
         assert "rate_cfg.json" in err and "n_trian" in err and "Traceback" not in err
         assert not out.with_suffix(".csv").exists()
 
+    def test_unknown_train_key(self, tmp_path, rate_config, capsys):
+        doc = json.loads(rate_config.read_text())
+        doc["train"] = {"method": "ols", "capp": 1.0}
+        rate_config.write_text(json.dumps(doc))
+        out = tmp_path / "r"
+        assert main(["experiment", "rate-curve", "--config", str(rate_config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {rate_config}: ") and "capp" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert not out.with_suffix(".csv").exists()
+
+    def test_unknown_weights_key(self, rate_config, capsys):
+        doc = json.loads(rate_config.read_text())
+        doc["weights"] = {"nu": 5.0, "bdof": 2.0}
+        rate_config.write_text(json.dumps(doc))
+        assert main(["experiment", "rate-curve", "--config", str(rate_config)]) == 1
+        err = capsys.readouterr().err
+        assert "rate_cfg.json" in err and "bdof" in err and "Traceback" not in err
+
     def test_invalid_kind_choice(self, capsys):
         assert main(["experiment", "warp-drive", "--config", "x.json"]) == 1
 

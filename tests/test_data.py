@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -319,6 +320,17 @@ class TestRoundTrip:
         assert p.read_bytes() == ref.read_bytes()
         if n == 0:
             assert p.read_bytes() == (header + "\n").encode()
+
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_zero_rows_keep_their_dimension(self, tmp_path, d):
+        ds = Dataset(X=np.empty((0, d)), Y=np.empty(0), label_kind="single_draw", seed=0, M=1.0, T=1.0)
+        p = tmp_path / "ds.csv"
+        save_dataset(ds, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = load_dataset(p)
+        assert back.X.shape == (0, d) and back.Y.shape == (0,)
+        assert back.d == d and back.n == 0
 
     def test_header_names_columns(self, tmp_path):
         ds = gen_pde_dataset(gbm(d=3), max_call(1.0, d=3), M=1.0, T=0.0, n=2, seed=0)

@@ -7,6 +7,7 @@ import pytest
 
 from kolmo_rfn.data import Dataset, LognormalSpec, gen_pde_dataset
 from kolmo_rfn.experiments import (
+    _ROW_BLOCK,
     ExperimentSpec,
     fit_log_slope,
     lognormal_from_dict,
@@ -31,11 +32,12 @@ from kolmo_rfn.levy import (
 from kolmo_rfn.network import (
     RandomFeatureNet,
     WeightDistributionSpec,
+    design_matrix,
     predict,
     sample_hidden_weights,
 )
 from kolmo_rfn.rng import derive_seed
-from kolmo_rfn.train import TrainConfig
+from kolmo_rfn.train import TrainConfig, fit_ols, prediction_error_estimate
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -120,6 +122,18 @@ class TestSpecValidation:
     def test_unknown_top_level_key_rejected(self):
         doc = {"kind": "rate_curve", "n_trian": 5000, "N_list": [5]}
         with pytest.raises(ValueError, match="n_trian"):
+            ExperimentSpec.from_dict(doc)
+
+    def test_unknown_weights_key_rejected(self):
+        doc = small_rate_spec().to_dict()
+        doc["weights"]["b_doff"] = 3.0
+        with pytest.raises(ValueError, match="b_doff"):
+            ExperimentSpec.from_dict(doc)
+
+    def test_unknown_train_key_rejected(self):
+        doc = small_rate_spec().to_dict()
+        doc["train"][0]["capp"] = 1.0
+        with pytest.raises(ValueError, match="capp"):
             ExperimentSpec.from_dict(doc)
 
     def test_hash_ignores_output_path(self):
@@ -253,6 +267,65 @@ class TestRateCurve:
         rep = run_rate_curve(spec, datasets=(ds(X_train), ds(X_test)))
         assert rep.rows[0][1] <= 1e-10
         assert math.isnan(rep.slope)
+
+    @pytest.mark.parametrize("independent", [False, True])
+    @pytest.mark.parametrize("cap", [None, 0.05])
+    def test_rows_match_the_materialized_design(self, independent, cap):
+        # several row blocks on both sides; the cap clips most predictions
+        spec = small_rate_spec(train=(TrainConfig(method="ols", cap=cap),), independent_hidden=independent)
+        train = gen_pde_dataset(spec.model, spec.payoff, spec.M, spec.T, _ROW_BLOCK + 904, seed=1)
+        test = gen_pde_dataset(spec.model, spec.payoff, spec.M, spec.T, _ROW_BLOCK + 1, seed=2)
+        rep = run_rate_curve(spec, datasets=(train, test))
+        hidden_seed = derive_seed(spec.master_seed, 3)
+        for N, e_hat, risk, _ in rep.rows:
+            seed = derive_seed(hidden_seed, N) if independent else hidden_seed
+            hidden = sample_hidden_weights(spec.weight_spec, N, 2, seed)
+            W, diag = fit_ols(design_matrix(hidden, train.X).values, train.Y)
+            assert risk == pytest.approx(diag.empirical_risk, rel=1e-10)
+            net = RandomFeatureNet(hidden=hidden, W=W, cap=cap)
+            assert e_hat == pytest.approx(prediction_error_estimate(net, test), rel=1e-10)
+            assert rep.extras["effective_rank"][str(N)] == diag.effective_rank
+
+    def test_width_subset_matches_full_run(self):
+        # every width solves from one R whose size follows the largest
+        # width, so a subset's rows agree with the full run's to rounding
+        full = rows_without_wall(run_rate_curve(small_rate_spec(N_list=(5, 10, 20))))
+        part = rows_without_wall(run_rate_curve(small_rate_spec(N_list=(5, 10))))
+        assert [r[0] for r in part] == [5, 10]
+        for a, b in zip(part, full):
+            assert a[1:] == pytest.approx(b[1:], rel=1e-12)
+
+    def test_effective_rank_matches_ols_on_dead_features(self):
+        # a handful of distinct inputs leaves the design rank deficient and
+        # kills every feature that is off at all of them
+        rng = np.random.default_rng(5)
+        points = rng.uniform(0.5, 1.5, (4, 2))
+        X = points[rng.integers(0, 4, 600)]
+        train = Dataset(X=X, Y=X.sum(axis=1), label_kind="single_draw", seed=0, M=1.0, T=1.0)
+        test = Dataset(X=points, Y=points.sum(axis=1), label_kind="single_draw", seed=1, M=1.0, T=1.0)
+        spec = small_rate_spec(N_list=(5, 20, 60))
+        rep = run_rate_curve(spec, datasets=(train, test))
+        hidden = sample_hidden_weights(spec.weight_spec, 60, 2, derive_seed(spec.master_seed, 3))
+        design = design_matrix(hidden, X).values
+        assert (~design.any(axis=0)).sum() > 0
+        expected = {str(N): fit_ols(design[:, :N], train.Y)[1].effective_rank for N in spec.N_list}
+        assert rep.extras["effective_rank"] == expected
+        assert max(expected.values()) <= 4
+
+    @pytest.mark.parametrize("independent", [False, True])
+    def test_failed_fold_fails_every_width_it_serves(self, independent):
+        spec = small_rate_spec(independent_hidden=independent)
+        train = gen_pde_dataset(spec.model, spec.payoff, spec.M, spec.T, _ROW_BLOCK + 10, seed=1)
+        bad_y = train.Y.copy()
+        bad_y[-1] = math.inf  # in the second row block
+        train = Dataset(X=train.X, Y=bad_y, label_kind="single_draw", seed=1, M=spec.M, T=spec.T)
+        test = gen_pde_dataset(spec.model, spec.payoff, spec.M, spec.T, 50, seed=2)
+        rep = run_rate_curve(spec, datasets=(train, test))
+        assert [r[0] for r in rep.rows] == list(spec.N_list)
+        assert all(math.isnan(r[1]) and math.isnan(r[2]) for r in rep.rows)
+        assert [e["N"] for e in rep.extras["errors"]] == list(spec.N_list)
+        assert all("finite" in e["error"] for e in rep.extras["errors"])
+        assert "effective_rank" not in rep.extras
 
     def test_failed_fit_is_recorded_not_raised(self):
         # batch larger than the training set makes every sgd fit fail

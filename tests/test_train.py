@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kolmo_rfn.data import Dataset
+from kolmo_rfn.experiments import _ROW_BLOCK
 from kolmo_rfn.network import (
     RandomFeatureNet,
     WeightDistributionSpec,
@@ -18,8 +19,11 @@ from kolmo_rfn.train import (
     fit_constrained,
     fit_ols,
     fit_sgd,
+    fold_rows,
+    prefix_problem,
     prediction_error_estimate,
     project_ball,
+    risk_from_r,
 )
 
 
@@ -50,6 +54,12 @@ class TestConfig:
 
     def test_ols_needs_nothing(self):
         assert TrainConfig(method="ols").lam is None
+
+    def test_from_dict_rejects_unknown_keys(self):
+        with pytest.raises(ValueError, match=r"unknown keys \['capp'\] in train config"):
+            TrainConfig.from_dict({"method": "ols", "capp": 1.0})
+        full = TrainConfig(method="sgd", lam=2.0, eta0=0.1, batch=8, steps=100, seed=3, cap=1.5, average=True)
+        assert TrainConfig.from_dict(full.to_dict()) == full
 
     def test_constrained_requires_lambda(self):
         with pytest.raises(ValueError):
@@ -314,6 +324,79 @@ class TestConstrainedAgainstFullSvd:
         # the slack radius leaves the ball inactive; every smaller one binds
         # unless the minimum-norm fit is zero
         assert active == [False] + [free_norm > 0] * (len(lams) - 1)
+
+
+def _streamed_cases():
+    rng = np.random.default_rng(21)
+    cases = []
+    for n in (1, 300, _ROW_BLOCK, 2 * _ROW_BLOCK + 123):  # one row, part, one, several blocks
+        cases.append(pytest.param(*random_instance(rng, n, 12), id=f"random_{n}x12"))
+    for n, N, rank in [(7, 20, None), (12, 12, None), (300, 12, 5), (9, 30, 4)]:
+        X, y = random_instance(rng, n, N, rank)
+        cases.append(pytest.param(X, y, id=f"{n}x{N}" + (f"_rank{rank}" if rank else "")))
+    X, y = random_instance(rng, _ROW_BLOCK + 1, 10)
+    X[:, [0, 4, 9]] = 0.0
+    cases.append(pytest.param(X, y, id="dead_columns"))
+    hidden = sample_hidden_weights(WeightDistributionSpec(), N=60, d=2, seed=3)
+    Z = np.random.default_rng(12).uniform(-1, 1, (_ROW_BLOCK + 500, 2))
+    cases.append(pytest.param(design_matrix(hidden, Z).values, Z[:, 0] ** 2 + Z[:, 1], id="relu_design"))
+    cases.append(pytest.param(np.zeros((6, 4)), rng.standard_normal(6), id="zero_design"))
+    return cases
+
+
+def fold_in_blocks(X, y):
+    r = None
+    for i in range(0, X.shape[0], _ROW_BLOCK):
+        r = fold_rows(r, X[i:i + _ROW_BLOCK], y[i:i + _ROW_BLOCK])
+    return r
+
+
+def fit_from_r(r, N, n, cfg):
+    """The rate curve's per-width solve: the trainer on the prefix problem."""
+
+    W, diag = fit(*prefix_problem(r, N), cfg)
+    return W, diag.effective_rank, diag.lambda_multiplier, risk_from_r(r, W, n)
+
+
+class TestStreamedAgainstDesign:
+    """Every width solved from one streamed R against the solvers on its design."""
+
+    @pytest.mark.parametrize("X,y", _streamed_cases())
+    def test_matches_materialized_fits(self, X, y):
+        n, n_max = X.shape
+        r = fold_in_blocks(X, y)
+        assert r.shape == (min(n, n_max + 1), n_max + 1)
+        # an interpolating fit has a risk at rounding level, where only an
+        # absolute floor on the label scale is meaningful
+        risk_floor = 1e-20 * float(y @ y) / n
+        for N in sorted({1, n_max // 3, n_max // 2, n_max - 1, n_max} - {0}):
+            x = X[:, :N]
+            W_ref, ref = fit_ols(x, y)
+            W, rank, _, risk = fit_from_r(r, N, n, TrainConfig(method="ols"))
+            assert rank == ref.effective_rank, N
+            assert risk == pytest.approx(ref.empirical_risk, rel=1e-10, abs=risk_floor)
+            assert np.linalg.norm(W - W_ref) <= 1e-10 * max(np.linalg.norm(W_ref), 1e-300), N
+
+            free_norm = float(np.linalg.norm(W_ref))
+            for lam in [2.0 * free_norm + 1.0, 0.9 * free_norm, 0.3 * free_norm, 1e-3]:
+                if not lam > 0:
+                    continue
+                W_ref, ref = fit_constrained(x, y, lam)
+                W, rank, mult, risk = fit_from_r(r, N, n, TrainConfig(method="constrained", lam=lam))
+                assert rank == ref.effective_rank
+                assert (mult > 0) == (ref.lambda_multiplier > 0)
+                assert mult == pytest.approx(ref.lambda_multiplier, rel=1e-10)
+                assert risk == pytest.approx(ref.empirical_risk, rel=1e-10, abs=risk_floor)
+                assert np.linalg.norm(W - W_ref) <= 1e-10 * max(np.linalg.norm(W_ref), 1e-300), (N, lam)
+
+    def test_fold_checks_every_block(self):
+        r = fold_rows(None, np.ones((3, 2)), np.ones(3))
+        with pytest.raises(ValueError, match="finite"):
+            fold_rows(r, [[1.0, np.nan]], [1.0])
+        with pytest.raises(ValueError, match="finite"):
+            fold_rows(r, [[1.0, 2.0]], [np.inf])
+        with pytest.raises(ValueError, match="empty"):
+            fold_rows(r, np.empty((0, 2)), [])
 
 
 class TestProjectBall:
