@@ -6,8 +6,6 @@ from .network import (
     RandomFeatureNet,
     WeightDistributionSpec,
     design_matrix,
-    evaluate,
-    features,
     load_model,
     pi_b,
     pi_w,
@@ -51,7 +49,6 @@ from .train import (
     fit_constrained,
     fit_ols,
     fit_sgd,
-    prediction_error_estimate,
     project_ball,
 )
 from .fourier import (
@@ -62,7 +59,6 @@ from .fourier import (
     oracle_weight_envelope,
     reference_convolution,
     sup_error_on_grid,
-    truncate_payoff,
 )
 from .experiments import (
     ExperimentReport,

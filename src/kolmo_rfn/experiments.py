@@ -99,10 +99,24 @@ _ORACLE = 10
 # ---------------------------------------------------------------------------
 # model (de)serialization for configs
 
+# the keys each model block may carry, by its "type"
+_MODEL_KEYS = {
+    "equal_correlation": {"type", "sigma", "rho", "d", "gamma", "jumps"},
+    "triplet": {"type", "sigma", "gamma", "jumps"},
+    "lognormal": {"type", "s0", "cov", "T"},
+}
+
+
+def _reject_unknown(doc: dict, allowed, block: str) -> None:
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown} in {block}")
+
 
 def _jumps_from_dict(doc: dict | None) -> CompoundPoissonSpec | None:
     if doc is None:
         return None
+    _reject_unknown(doc, {"intensity", "atoms", "radius"}, "jumps")
     atoms = tuple((float(p), y) for p, y in doc["atoms"])
     return CompoundPoissonSpec(
         intensity=float(doc["intensity"]), atoms=atoms, radius=float(doc.get("radius", 1.5))
@@ -129,13 +143,14 @@ def triplet_from_dict(doc: dict) -> LevyTriplet:
     """
 
     kind = doc.get("type", "triplet")
+    if kind not in ("equal_correlation", "triplet"):
+        raise ValueError(f"unknown model type {kind!r}")
+    _reject_unknown(doc, _MODEL_KEYS[kind], f"{kind} model")
     jumps = _jumps_from_dict(doc.get("jumps"))
     if kind == "equal_correlation":
         sigma = equal_correlation_sigma(float(doc["sigma"]), float(doc["rho"]), int(doc["d"]))
-    elif kind == "triplet":
-        sigma = np.asarray(doc["sigma"], dtype=float)
     else:
-        raise ValueError(f"unknown model type {kind!r}")
+        sigma = np.asarray(doc["sigma"], dtype=float)
     gamma = doc.get("gamma", "risk_neutral")
     if isinstance(gamma, str):
         if gamma != "risk_neutral":
@@ -154,8 +169,10 @@ def triplet_to_dict(triplet: LevyTriplet) -> dict:
 
 
 def lognormal_from_dict(doc: dict) -> LognormalSpec:
+    _reject_unknown(doc, _MODEL_KEYS["lognormal"], "lognormal model")
     cov = doc["cov"]
     if isinstance(cov, dict):
+        _reject_unknown(cov, {"sigma", "rho", "d"}, "lognormal cov")
         cov = equal_correlation_sigma(float(cov["sigma"]), float(cov["rho"]), int(cov["d"]))
     return LognormalSpec(
         s0=np.asarray(doc["s0"], dtype=float),
@@ -244,8 +261,11 @@ class ExperimentSpec:
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError("N_list must be strictly increasing")
         object.__setattr__(self, "N_list", ns)
-        if self.n_test < 1:
-            raise ValueError("n_test must be at least 1")
+        for name in ("n_test", "oracle_seeds", "sgd_seeds"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.test_paths is not None and self.test_paths < 1:
+            raise ValueError("test_paths must be at least 1 when set")
         if not self.M > 0:
             raise ValueError("M must be positive")
 
@@ -281,17 +301,13 @@ class ExperimentSpec:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentSpec":
-        unknown = sorted(set(doc) - _SPEC_KEYS)
-        if unknown:
-            raise ValueError(f"unknown keys {unknown} in experiment config")
+        _reject_unknown(doc, _SPEC_KEYS, "experiment config")
         kind = str(doc["kind"]).replace("-", "_")
         train = doc.get("train", {"method": "ols"})
         if isinstance(train, dict):
             train = [train]
         weights = doc.get("weights", {})
-        unknown = sorted(set(weights) - {"nu", "b_dof"})
-        if unknown:
-            raise ValueError(f"unknown keys {unknown} in weights")
+        _reject_unknown(weights, {"nu", "b_dof"}, "weights")
         return ExperimentSpec(
             kind=kind,
             model=_model_from_dict(doc["model"]) if doc.get("model") else None,
@@ -308,7 +324,7 @@ class ExperimentSpec:
             paths=int(doc.get("paths", 1000)),
             noise_std=float(doc.get("noise_std", 0.0)),
             test_label_kind=doc.get("test_label_kind"),
-            test_paths=int(doc["test_paths"]) if doc.get("test_paths") else None,
+            test_paths=None if doc.get("test_paths") is None else int(doc["test_paths"]),
             weight_spec=WeightDistributionSpec(
                 nu=float(weights.get("nu", 5.0)), b_dof=float(weights.get("b_dof", 2.0))
             ),
@@ -671,7 +687,7 @@ def run_oracle_convergence(spec: ExperimentSpec) -> ExperimentReport:
         f = construct_oracle_weights(hidden, profile) * n_max
         for N in spec.N_list:
             net = RandomFeatureNet(hidden=subnetwork(hidden, N), W=f[:N] / N)
-            err = sup_error_on_grid(net, None, spec.M, spec.grid_points, reference_values=ref_vals)
+            err = sup_error_on_grid(net, ref_vals, spec.M)
             rows.append((s, N, err, float(np.abs(f[:N]).max() / N)))
             sup_by_n[N].append(err)
 

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-from .levy import Payoff, payoff_log_eval, truncated
+from .levy import Payoff, payoff_log_eval
 from .network import (
     HiddenWeights,
     RandomFeatureNet,
@@ -51,7 +51,6 @@ __all__ = [
     "construct_oracle_weights",
     "reference_convolution",
     "sup_error_on_grid",
-    "truncate_payoff",
 ]
 
 # below this the closed-form transforms switch to 4th-order series
@@ -328,100 +327,45 @@ def construct_oracle_weights(hidden: HiddenWeights, profile: FourierProfile) -> 
 
 
 def reference_convolution(payoff: Payoff, cov, x) -> float:
-    """H(x) = E[Phi(x + V)] for Gaussian V by adaptive quadrature, d <= 2.
+    """H(x) = E[Phi(x + V)] for one-dimensional Gaussian V by adaptive quadrature.
 
-    A zero covariance degenerates to Phi(x) itself.
+    A zero variance degenerates to Phi(x) itself.
     """
 
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = x.shape[0]
-    if d > 2:
-        raise ValueError("reference convolution is certified for d <= 2 only")
     cov = _check_psd(cov)
-    if cov.shape[0] != d:
-        raise ValueError(f"covariance is {cov.shape[0]}-dim, x is {d}-dim")
+    if x.shape != (1,) or cov.shape != (1, 1):
+        raise ValueError("reference convolution is one-dimensional")
     if not cov.any():
         return float(payoff_log_eval(payoff, x))
     if payoff.support is None:
         raise ValueError(f"payoff kind {payoff.kind!r} has unbounded log-support")
     lo, hi = payoff.support
+    sd = math.sqrt(cov[0, 0])
 
-    if d == 1:
-        sd = math.sqrt(cov[0, 0])
+    def f(v):
+        return payoff_log_eval(payoff, np.array([x[0] + v])) * (
+            _INV_SQRT_2PI / sd * math.exp(-0.5 * (v / sd) ** 2)
+        )
 
-        def f(v):
-            return payoff_log_eval(payoff, np.array([x[0] + v])) * (
-                _INV_SQRT_2PI / sd * math.exp(-0.5 * (v / sd) ** 2)
-            )
-
-        a, b = lo[0] - x[0], hi[0] - x[0]
-        pts = sorted({min(max(k - x[0], a), b) for k in payoff.kinks})
-        val, _ = integrate.quad(f, a, b, points=pts, limit=200, epsabs=1e-12, epsrel=1e-10)
-        return float(val)
-
-    det = np.linalg.det(cov)
-    if det <= 0:
-        raise ValueError("two-dimensional reference needs a nonsingular covariance")
-    inv = np.linalg.inv(cov)
-    norm = 1.0 / (2.0 * math.pi * math.sqrt(det))
-
-    def f2(v2, v1):
-        v = np.array([v1, v2])
-        return payoff_log_eval(payoff, x + v) * norm * math.exp(-0.5 * v @ inv @ v)
-
-    val, _ = integrate.dblquad(
-        f2, lo[0] - x[0], hi[0] - x[0],
-        lambda _: lo[1] - x[1], lambda _: hi[1] - x[1],
-        epsabs=1e-9, epsrel=1e-8,
-    )
+    a, b = lo[0] - x[0], hi[0] - x[0]
+    pts = sorted({min(max(k - x[0], a), b) for k in payoff.kinks})
+    val, _ = integrate.quad(f, a, b, points=pts, limit=200, epsabs=1e-12, epsrel=1e-10)
     return float(val)
 
 
-def sup_error_on_grid(
-    net: RandomFeatureNet,
-    reference: Callable[[np.ndarray], float] | None,
-    M: float,
-    grid_points_per_axis: int,
-    reference_values: np.ndarray | None = None,
-) -> float:
-    """Max |net - reference| over a regular grid on [-M, M]^d, d <= 2.
+def sup_error_on_grid(net: RandomFeatureNet, reference_values, M: float) -> float:
+    """Max |net - reference| over the regular grid on [-M, M] the values sit on.
 
-    ``reference`` maps one grid point to the target's value there.
-    A grid maximum is a lower bound on the true sup. ``reference_values``
-    short-circuits the (possibly expensive) reference evaluation when the
-    caller has them cached; they must match the grid layout produced here
-    (last axis fastest).
+    ``reference_values`` holds the one-dimensional target at
+    ``np.linspace(-M, M, len(reference_values))``. A grid maximum is a
+    lower bound on the true sup.
     """
 
-    d = net.hidden.d
-    if d > 2:
-        raise ValueError("grid sup-error is certified for d <= 2 only")
-    if grid_points_per_axis < 2:
-        raise ValueError("need at least 2 grid points per axis")
-    axis = np.linspace(-M, M, grid_points_per_axis)
-    if d == 1:
-        pts = axis[:, None]
-    else:
-        g1, g2 = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.column_stack([g1.ravel(), g2.ravel()])
-    if reference_values is None:
-        ref = np.array([reference(p) for p in pts])
-    else:
-        ref = np.asarray(reference_values, dtype=float).ravel()
-        if ref.shape[0] != pts.shape[0]:
-            raise ValueError("reference_values does not match the grid size")
+    if net.hidden.d != 1:
+        raise ValueError("grid sup-error is one-dimensional")
+    ref = np.asarray(reference_values, dtype=float)
+    if ref.ndim != 1 or ref.shape[0] < 2:
+        raise ValueError("need at least 2 reference values on a 1-d grid")
+    pts = np.linspace(-M, M, ref.shape[0])[:, None]
     return float(np.abs(predict(net, pts) - ref).max())
-
-
-def truncate_payoff(phi: Payoff, M: float, R: float) -> Payoff:
-    """Cut the log-coordinate payoff to zero outside the ball of radius M + R.
-
-    Inside that ball the payoff is untouched, so targets probed on
-    [-M, M]^d never see the cut; it only tames the tails.
-    """
-
-    if not R > 0:
-        raise ValueError("R must be positive")
-    if not M > 0:
-        raise ValueError("M must be positive")
-    return truncated(phi, M + R)

@@ -419,6 +419,8 @@ def truncated(inner: Payoff, bound: float) -> Payoff:
     """``inner`` in log-coordinates, cut to zero outside the ball of radius ``bound``."""
 
     bound = float(bound)
+    if not bound > 0:
+        raise ValueError(f"bound must be positive, got {bound}")
     lo, hi = inner.support or (np.full(inner.d, -bound), np.full(inner.d, bound))
 
     def fn(x):

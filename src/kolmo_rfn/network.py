@@ -35,8 +35,6 @@ __all__ = [
     "pi_w",
     "log_pi_b",
     "pi_b",
-    "features",
-    "evaluate",
     "predict",
     "design_matrix",
     "save_model",
@@ -172,21 +170,6 @@ def subnetwork(hidden: HiddenWeights, N: int) -> HiddenWeights:
     )
 
 
-def _point_batch(x, d: int, name: str) -> tuple[np.ndarray, bool]:
-    """Normalize x to shape (n, d); returns (array, was_single_point)."""
-
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.ndim == 1:
-        if arr.shape[0] != d:
-            raise ValueError(f"{name} has dimension {arr.shape[0]}, expected {d}")
-        return arr[None, :], True
-    if arr.ndim == 2:
-        if arr.shape[1] != d:
-            raise ValueError(f"{name} has {arr.shape[1]} columns, expected {d}")
-        return arr, False
-    raise ValueError(f"{name} must be a vector or a matrix of row points")
-
-
 def log_pi_w(spec: WeightDistributionSpec, x) -> np.ndarray | float:
     """Log-density of t_nu(0, Id) at x (single d-vector or rows of points)."""
 
@@ -227,19 +210,8 @@ def pi_b(spec: WeightDistributionSpec, u) -> np.ndarray | float:
     return np.exp(log_pi_b(spec, u))
 
 
-def features(hidden: HiddenWeights, x) -> np.ndarray:
-    """Feature vector (relu(A_i . x + B_i))_i at a single point x."""
-
-    pts, single = _point_batch(x, hidden.d, "x")
-    if not single:
-        raise ValueError("features expects a single point; use design_matrix for batches")
-    # same matrix product as design_matrix so single-point and batched
-    # evaluation agree bit for bit
-    return np.maximum(pts @ hidden.A.T + hidden.B, 0.0)[0]
-
-
 def design_matrix(hidden: HiddenWeights, X) -> FeatureMatrix:
-    """Feature matrix with row i equal to features(hidden, X_i)."""
+    """ReLU features of the rows of X (a flat array is read as rows of d)."""
 
     arr = np.asarray(X, dtype=float)
     if arr.ndim != 2:
@@ -248,15 +220,6 @@ def design_matrix(hidden: HiddenWeights, X) -> FeatureMatrix:
         raise ValueError(f"X has {arr.shape[1]} columns, expected {hidden.d}")
     values = np.maximum(arr @ hidden.A.T + hidden.B, 0.0)
     return FeatureMatrix(values=values, point_count=arr.shape[0], feature_count=hidden.N)
-
-
-def evaluate(net: RandomFeatureNet, x) -> float:
-    """Network value W . features(x), capped to [-L, L] when a cap is set."""
-
-    val = float(net.W @ features(net.hidden, x))
-    if net.cap is not None:
-        val = max(min(val, net.cap), -net.cap)
-    return val
 
 
 def predict(net: RandomFeatureNet, X) -> np.ndarray:

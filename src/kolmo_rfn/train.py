@@ -43,7 +43,6 @@ __all__ = [
     "fit_sgd",
     "fit",
     "empirical_risk",
-    "prediction_error_estimate",
 ]
 
 _SGD_INDEX_STREAM = 60
@@ -400,9 +399,3 @@ def empirical_risk(net: RandomFeatureNet, data: Dataset) -> float:
         raise ValueError("empirical risk needs at least one sample")
     r = predict(net, data.X) - data.Y
     return float(r @ r / data.n)
-
-
-def prediction_error_estimate(net: RandomFeatureNet, test: Dataset) -> float:
-    """Root mean squared residual on held-out data."""
-
-    return math.sqrt(empirical_risk(net, test))

@@ -178,6 +178,38 @@ class TestValidationExits:
         assert "data_cfg.json" in err and "n_trian" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kind, model, typo",
+        [
+            (
+                "pde",
+                {"type": "equal_correlation", "sigma": 0.2, "rho": 0.2, "d": 2, "gama": [0.0, 0.0]},
+                "gama",
+            ),
+            (
+                "pde",
+                {
+                    "type": "equal_correlation", "sigma": 0.2, "rho": 0.2, "d": 2,
+                    "jumps": {"intensity": 1.0, "atoms": [[1.0, [0.1, 0.1]]], "radus": 3.0},
+                },
+                "radus",
+            ),
+            ("basket_put", {"type": "lognormal", "s0": [1.0], "cov": [[0.04]], "TT": 2.0}, "TT"),
+        ],
+        ids=["drift", "jumps", "lognormal"],
+    )
+    def test_gen_data_unknown_model_key(self, tmp_path, pde_data_config, kind, model, typo, capsys):
+        doc = json.loads(pde_data_config.read_text())
+        if kind == "basket_put":
+            doc = {"kind": kind, "n": 5, "paths": 5}
+        doc["model"] = model
+        pde_data_config.write_text(json.dumps(doc))
+        out = tmp_path / "x.csv"
+        assert main(["gen-data", "--config", str(pde_data_config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "data_cfg.json" in err and repr(typo) in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_gen_data_without_output(self, tmp_path, pde_data_config, capsys):
         assert main(["gen-data", "--config", str(pde_data_config)]) == 1
         assert "--out" in capsys.readouterr().err
@@ -306,6 +338,28 @@ class TestExperimentCommand:
         assert main(["experiment", "rate-curve", "--config", str(rate_config)]) == 1
         err = capsys.readouterr().err
         assert "rate_cfg.json" in err and "bdof" in err and "Traceback" not in err
+
+    def test_unknown_model_key(self, tmp_path, rate_config, capsys):
+        doc = json.loads(rate_config.read_text())
+        doc["model"]["gama"] = [0.0, 0.0]
+        rate_config.write_text(json.dumps(doc))
+        out = tmp_path / "r"
+        assert main(["experiment", "rate-curve", "--config", str(rate_config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {rate_config}: ") and "gama" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert not out.with_suffix(".csv").exists()
+
+    @pytest.mark.parametrize("field", ["oracle_seeds", "sgd_seeds", "test_paths"])
+    def test_zero_count_exits(self, tmp_path, rate_config, field, capsys):
+        doc = json.loads(rate_config.read_text())
+        doc[field] = 0
+        rate_config.write_text(json.dumps(doc))
+        out = tmp_path / "r"
+        assert main(["experiment", "rate-curve", "--config", str(rate_config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "rate_cfg.json" in err and field in err and "Traceback" not in err
+        assert not out.with_suffix(".csv").exists()
 
     def test_invalid_kind_choice(self, capsys):
         assert main(["experiment", "warp-drive", "--config", "x.json"]) == 1

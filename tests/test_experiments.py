@@ -37,7 +37,7 @@ from kolmo_rfn.network import (
     sample_hidden_weights,
 )
 from kolmo_rfn.rng import derive_seed
-from kolmo_rfn.train import TrainConfig, fit_ols, prediction_error_estimate
+from kolmo_rfn.train import TrainConfig, empirical_risk, fit_ols
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -103,6 +103,19 @@ class TestSpecValidation:
     def test_n_test_at_least_one(self):
         with pytest.raises(ValueError):
             small_rate_spec(n_test=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("oracle_seeds", 0), ("sgd_seeds", 0), ("sgd_seeds", -1), ("test_paths", 0), ("test_paths", -5)],
+    )
+    def test_counts_at_least_one(self, field, value):
+        # an explicit zero is an error, not a silent default or a NaN row
+        with pytest.raises(ValueError, match=field):
+            small_rate_spec(**{field: value})
+        doc = small_rate_spec().to_dict()
+        doc[field] = value
+        with pytest.raises(ValueError, match=field):
+            ExperimentSpec.from_dict(doc)
 
     def test_single_train_config_normalizes_to_tuple(self):
         spec = small_rate_spec(train=TrainConfig(method="ols"))
@@ -192,6 +205,43 @@ class TestModelDicts:
             triplet_from_dict(
                 {"type": "equal_correlation", "sigma": 0.2, "rho": 0.1, "d": 1, "gamma": "real_world"}
             )
+
+    @pytest.mark.parametrize(
+        "model, typo",
+        [
+            ({"type": "equal_correlation", "sigma": 0.2, "rho": 0.2, "d": 2, "gama": [0.0, 0.0]}, "gama"),
+            ({"type": "triplet", "sigma": [[0.04]], "rho": 0.2}, "rho"),
+            ({"sigma": [[0.04]], "gamma": [0.0], "T": 1.0}, "T"),
+            (
+                {
+                    "type": "equal_correlation", "sigma": 0.2, "rho": 0.2, "d": 1,
+                    "jumps": {"intensity": 1.0, "atoms": [[1.0, [0.1]]], "radus": 3.0},
+                },
+                "radus",
+            ),
+            ({"type": "lognormal", "s0": [1.0], "cov": [[0.04]], "TT": 2.0}, "TT"),
+            ({"type": "lognormal", "s0": [1.0, 1.0], "cov": {"sigma": 0.2, "rh": 0.2, "d": 2}}, "rh"),
+        ],
+        ids=["equal_correlation", "triplet", "default_type", "jumps", "lognormal", "lognormal_cov"],
+    )
+    def test_unknown_model_key_rejected(self, model, typo):
+        doc = small_rate_spec().to_dict()
+        doc["model"] = model
+        with pytest.raises(ValueError, match=rf"unknown keys \['{typo}'\]"):
+            ExperimentSpec.from_dict(doc)
+
+    def test_every_allowed_model_key_loads(self):
+        jumps = {"intensity": 1.0, "atoms": [[1.0, [0.1, 0.0]]], "radius": 2.0}
+        ec = {
+            "type": "equal_correlation", "sigma": 0.2, "rho": 0.2, "d": 2,
+            "gamma": [0.0, 0.0], "jumps": jumps,
+        }
+        assert triplet_from_dict(ec).jumps.radius == 2.0
+        trip = {"type": "triplet", "sigma": [[0.04]], "gamma": [0.01], "jumps": None}
+        assert triplet_from_dict(trip).gamma.tolist() == [0.01]
+        cov = {"sigma": 0.2, "rho": 0.5, "d": 2}
+        logn = {"type": "lognormal", "s0": [1.0, 1.0], "cov": cov, "T": 2.0}
+        np.testing.assert_allclose(lognormal_from_dict(logn).cov, equal_correlation_sigma(0.2, 0.5, 2))
 
     def test_lognormal_round_trip(self):
         spec = LognormalSpec(s0=np.array([1.0, 0.9]), cov=equal_correlation_sigma(0.3, 0.5, 2), T=2.0)
@@ -283,7 +333,7 @@ class TestRateCurve:
             W, diag = fit_ols(design_matrix(hidden, train.X).values, train.Y)
             assert risk == pytest.approx(diag.empirical_risk, rel=1e-10)
             net = RandomFeatureNet(hidden=hidden, W=W, cap=cap)
-            assert e_hat == pytest.approx(prediction_error_estimate(net, test), rel=1e-10)
+            assert e_hat == pytest.approx(math.sqrt(empirical_risk(net, test)), rel=1e-10)
             assert rep.extras["effective_rank"][str(N)] == diag.effective_rank
 
     def test_width_subset_matches_full_run(self):

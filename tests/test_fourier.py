@@ -17,7 +17,6 @@ from kolmo_rfn.fourier import (
     phi_hat_tent,
     reference_convolution,
     sup_error_on_grid,
-    truncate_payoff,
 )
 from kolmo_rfn.levy import (
     indicator,
@@ -26,12 +25,14 @@ from kolmo_rfn.levy import (
     payoff_to_dict,
     table,
     tent,
+    truncated,
 )
 from kolmo_rfn.network import (
     RandomFeatureNet,
     WeightDistributionSpec,
     pi_b,
     pi_w,
+    predict,
     sample_hidden_weights,
     subnetwork,
 )
@@ -389,20 +390,9 @@ class TestReferenceConvolution:
             right = reference_convolution(po, [[0.2]], [x])
             assert left == pytest.approx(right, rel=1e-10)
 
-    def test_two_dim_matches_product_closed_form(self):
-        po = indicator([-0.5, 0.0], [0.5, 1.0])
-        cov = np.diag([0.09, 0.04])
-        x = np.array([0.2, 0.4])
-        got = reference_convolution(po, cov, x)
-        want = 1.0
-        for j, (lo, hi) in enumerate([(-0.5, 0.5), (0.0, 1.0)]):
-            s = math.sqrt(cov[j, j])
-            want *= ndtr((hi - x[j]) / s) - ndtr((lo - x[j]) / s)
-        assert got == pytest.approx(want, rel=1e-6)
-
     def test_dimension_limits(self):
         with pytest.raises(ValueError):
-            reference_convolution(tent(), np.eye(3), [0.0, 0.0, 0.0])
+            reference_convolution(indicator([0.0, 0.0], [1.0, 1.0]), np.eye(2), [0.0, 0.0])
         with pytest.raises(ValueError):
             reference_convolution(tent(), np.eye(2), [0.0])
 
@@ -414,76 +404,67 @@ class TestSupErrorOnGrid:
         return RandomFeatureNet(hidden=hidden, W=w)
 
     def test_zero_when_reference_is_the_net(self):
-        from kolmo_rfn.network import evaluate, predict
-
         net = self.make_net(W=np.linspace(-1, 1, 20))
         # same computation path: exactly zero
         grid = np.linspace(-1, 1, 21)[:, None]
-        assert sup_error_on_grid(net, None, 1.0, 21, reference_values=predict(net, grid)) == 0.0
-        # pointwise evaluation differs from the batched path only at machine level
-        err = sup_error_on_grid(net, lambda x: evaluate(net, x), 1.0, 21)
-        assert err <= 1e-12
+        assert sup_error_on_grid(net, predict(net, grid), 1.0) == 0.0
 
     def test_constant_gap(self):
         net = self.make_net()  # identically zero
-        assert sup_error_on_grid(net, lambda x: 0.7, 1.0, 11) == pytest.approx(0.7)
+        assert sup_error_on_grid(net, np.full(11, 0.7), 1.0) == pytest.approx(0.7)
 
     def test_refinement_never_decreases(self):
         net = self.make_net(W=np.random.default_rng(5).standard_normal(20))
-        coarse = sup_error_on_grid(net, lambda x: 0.0, 1.0, 11)
-        fine = sup_error_on_grid(net, lambda x: 0.0, 1.0, 21)
+        coarse = sup_error_on_grid(net, np.zeros(11), 1.0)
+        fine = sup_error_on_grid(net, np.zeros(21), 1.0)
         assert fine >= coarse
 
     def test_cached_reference_values(self):
+        # the grid is read from the values: n points spread over [-M, M]
         net = self.make_net(W=np.random.default_rng(6).standard_normal(20))
-        ref = lambda x: float(np.sin(x[0]))
-        direct = sup_error_on_grid(net, ref, 1.0, 31)
-        grid = np.linspace(-1, 1, 31)[:, None]
-        cached = sup_error_on_grid(net, None, 1.0, 31, reference_values=np.sin(grid[:, 0]))
-        assert cached == direct
-        with pytest.raises(ValueError):
-            sup_error_on_grid(net, None, 1.0, 31, reference_values=np.zeros(7))
-
-    def test_two_dim_grid(self):
-        net = self.make_net(d=2)
-        err = sup_error_on_grid(net, lambda x: float(x[0] + x[1]), 1.0, 5)
-        assert err == pytest.approx(2.0)
+        grid = np.linspace(-0.5, 0.5, 31)
+        feats = np.maximum(np.outer(grid, net.hidden.A[:, 0]) + net.hidden.B, 0.0)
+        want = np.abs(feats @ net.W - np.sin(grid)).max()
+        assert sup_error_on_grid(net, np.sin(grid), 0.5) == pytest.approx(want, rel=1e-12)
+        for bad in (np.zeros(1), np.zeros((31, 1))):
+            with pytest.raises(ValueError):
+                sup_error_on_grid(net, bad, 0.5)
 
     def test_dimension_limit(self):
-        net = self.make_net(d=3)
+        net = self.make_net(d=2)
         with pytest.raises(ValueError):
-            sup_error_on_grid(net, lambda x: 0.0, 1.0, 5)
+            sup_error_on_grid(net, np.zeros(5), 1.0)
 
 
 class TestTruncatePayoff:
+    # the oracle's payoffs are cut at radius M + R, outside the box [-M, M]
     def test_outside_zero(self):
-        po = truncate_payoff(tent(0.0, 5.0), M=1.0, R=0.5)
+        po = truncated(tent(0.0, 5.0), 1.0 + 0.5)
         assert payoff_log_eval(po, [2.5]) == 0.0
 
     def test_inside_untouched(self):
         inner = tent(0.0, 5.0)
-        po = truncate_payoff(inner, M=1.0, R=0.5)
+        po = truncated(inner, 1.0 + 0.5)
         assert payoff_log_eval(po, [0.0]) == payoff_log_eval(inner, [0.0])
         for x in (-1.4, 0.3, 1.5):
             assert payoff_log_eval(po, [x]) == payoff_log_eval(inner, [x])
 
     def test_truncated_integral(self):
         # tent(0,1) cut at radius 0.5: integral 2(0.5) - 0.5^2 = 0.75
-        po = truncate_payoff(tent(0.0, 1.0), M=0.25, R=0.25)
+        po = truncated(tent(0.0, 1.0), 0.25 + 0.25)
         val, _ = integrate.quad(lambda x: payoff_log_eval(po, [x]), -1.0, 1.0, points=[-0.5, 0.0, 0.5])
         assert val == pytest.approx(0.75, rel=1e-10)
 
     def test_serialization_round_trip(self):
-        po = truncate_payoff(tent(0.2, 0.7), M=1.0, R=1.0)
+        po = truncated(tent(0.2, 0.7), 1.0 + 1.0)
         back = payoff_from_dict(payoff_to_dict(po))
         pts = np.linspace(-2.5, 2.5, 11)[:, None]
         assert np.array_equal(payoff_log_eval(back, pts), payoff_log_eval(po, pts))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            truncate_payoff(tent(), M=1.0, R=0.0)
-        with pytest.raises(ValueError):
-            truncate_payoff(tent(), M=0.0, R=1.0)
+        for bound in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                truncated(tent(), bound)
 
 
 class TestRateSanity:
@@ -499,7 +480,5 @@ class TestRateSanity:
             f = construct_oracle_weights(hidden, prof) * 400
             for N in (10, 400):
                 net = RandomFeatureNet(hidden=subnetwork(hidden, N), W=f[:N] / N)
-                errs[N].append(
-                    sup_error_on_grid(net, None, 1.0, 101, reference_values=ref_vals)
-                )
+                errs[N].append(sup_error_on_grid(net, ref_vals, 1.0))
         assert np.mean(errs[400]) < np.mean(errs[10])

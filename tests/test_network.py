@@ -9,8 +9,6 @@ from kolmo_rfn.network import (
     RandomFeatureNet,
     WeightDistributionSpec,
     design_matrix,
-    evaluate,
-    features,
     load_model,
     log_pi_w,
     net_from_dict,
@@ -175,29 +173,39 @@ class TestDensities:
         assert abs(total - 1.0) < 1e-3
 
 
+def row(hidden, x):
+    """The features of one point, as the one-row design matrix gives them."""
+
+    return design_matrix(hidden, [x]).values[0]
+
+
+def predict_one(net, x):
+    return float(predict(net, [x])[0])
+
+
 class TestFeatures:
     def test_zero_weights_give_zero_vector(self):
         h = manual_hidden(np.zeros((4, 2)), np.zeros(4))
-        assert np.array_equal(features(h, [1.5, -2.0]), np.zeros(4))
+        assert np.array_equal(row(h, [1.5, -2.0]), np.zeros(4))
 
     def test_identity_on_positive(self):
         h = manual_hidden([[1.0]], [0.0])
-        assert np.array_equal(features(h, [2.0]), [2.0])
+        assert np.array_equal(row(h, [2.0]), [2.0])
 
     def test_hand_example_two_neurons(self):
         h = manual_hidden([[1.0], [1.0]], [0.0, -1.0])
-        assert np.array_equal(features(h, [2.0]), [2.0, 1.0])
+        assert np.array_equal(row(h, [2.0]), [2.0, 1.0])
 
     def test_dimension_mismatch_raises(self):
         h = manual_hidden([[1.0, 0.0]], [0.0])
         with pytest.raises(ValueError):
-            features(h, [1.0, 2.0, 3.0])
+            row(h, [1.0, 2.0, 3.0])
 
     def test_nonnegative(self):
         h = sample_hidden_weights(SPEC, N=50, d=3, seed=11)
         rng = np.random.default_rng(12)
         for _ in range(10):
-            assert (features(h, rng.standard_normal(3)) >= 0.0).all()
+            assert (row(h, rng.standard_normal(3)) >= 0.0).all()
 
     def test_positive_homogeneity(self):
         rng = np.random.default_rng(13)
@@ -207,26 +215,26 @@ class TestFeatures:
         for c in (0.5, 2.0, 7.25):
             scaled = manual_hidden(c * A, c * B)
             base = manual_hidden(A, B)
-            assert np.allclose(features(scaled, x), c * features(base, x), rtol=1e-14)
+            assert np.allclose(row(scaled, x), c * row(base, x), rtol=1e-14)
 
 
 class TestEvaluate:
     def test_zero_output_weights(self):
         h = sample_hidden_weights(SPEC, N=8, d=2, seed=4)
         net = RandomFeatureNet(hidden=h, W=np.zeros(8))
-        assert evaluate(net, [0.3, -0.4]) == 0.0
+        assert predict_one(net, [0.3, -0.4]) == 0.0
 
     def test_hand_example(self):
         h = manual_hidden([[1.0], [1.0]], [0.0, -1.0])
         net = RandomFeatureNet(hidden=h, W=np.array([1.0, -1.0]))
-        assert evaluate(net, [2.0]) == 1.0
+        assert predict_one(net, [2.0]) == 1.0
 
     def test_cap_truncates_both_sides(self):
         h = manual_hidden([[1.0]], [0.0])
         high = RandomFeatureNet(hidden=h, W=np.array([1.0]), cap=1.0)
         low = RandomFeatureNet(hidden=h, W=np.array([-1.5]), cap=1.0)
-        assert evaluate(high, [2.0]) == 1.0  # uncapped 2
-        assert evaluate(low, [2.0]) == -1.0  # uncapped -3
+        assert predict_one(high, [2.0]) == 1.0  # uncapped 2
+        assert predict_one(low, [2.0]) == -1.0  # uncapped -3
 
     def test_cap_identity_inside_band(self):
         h = sample_hidden_weights(SPEC, N=10, d=2, seed=6)
@@ -264,10 +272,12 @@ class TestDesignMatrix:
         assert fm.point_count == 0 and fm.feature_count == 5
 
     def test_single_point_matches_features(self):
+        # a flat d-vector is read as one row
         h = sample_hidden_weights(SPEC, N=5, d=3, seed=9)
         x = np.array([0.1, -0.2, 0.3])
-        fm = design_matrix(h, x[None, :])
-        assert np.array_equal(fm.values[0], features(h, x))
+        fm = design_matrix(h, x)
+        assert fm.point_count == 1
+        assert np.array_equal(fm.values, design_matrix(h, x[None, :]).values)
 
     def test_matches_per_point_loop(self):
         h = sample_hidden_weights(SPEC, N=4, d=3, seed=10)
@@ -277,7 +287,7 @@ class TestDesignMatrix:
         # different batch shapes may hit different BLAS kernels, so this
         # is a machine-precision contract, not a bitwise one
         for i in range(5):
-            assert np.allclose(fm.values[i], features(h, X[i]), rtol=1e-12, atol=1e-15)
+            assert np.allclose(fm.values[i], row(h, X[i]), rtol=1e-12, atol=1e-15)
 
     def test_entries_nonnegative_and_exact(self):
         h = sample_hidden_weights(SPEC, N=6, d=2, seed=12)
@@ -293,12 +303,16 @@ class TestDesignMatrix:
         with pytest.raises(ValueError):
             design_matrix(h, np.zeros((4, 3)))
 
-    def test_predict_matches_evaluate(self):
+    def test_predict_matches_numpy_formula(self):
         h = sample_hidden_weights(SPEC, N=7, d=2, seed=14)
         rng = np.random.default_rng(23)
         net = RandomFeatureNet(hidden=h, W=rng.standard_normal(7), cap=0.8)
         X = rng.uniform(-1, 1, size=(15, 2))
-        assert np.allclose(predict(net, X), [evaluate(net, x) for x in X], rtol=1e-12, atol=1e-15)
+        want = [
+            min(max(sum(w * max(a @ x + b, 0.0) for w, a, b in zip(net.W, h.A, h.B)), -0.8), 0.8)
+            for x in X
+        ]
+        assert np.allclose(predict(net, X), want, rtol=1e-12, atol=1e-15)
 
     def test_feature_matrix_shape_validated(self):
         with pytest.raises(ValueError):

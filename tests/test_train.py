@@ -21,7 +21,6 @@ from kolmo_rfn.train import (
     fit_sgd,
     fold_rows,
     prefix_problem,
-    prediction_error_estimate,
     project_ball,
     risk_from_r,
 )
@@ -517,10 +516,10 @@ class TestRiskAndErrorEstimate:
         rng = np.random.default_rng(17)
         X = rng.uniform(-1, 1, (11, 2))
         y = rng.standard_normal(11)
-        net = RandomFeatureNet(hidden=hidden, W=rng.standard_normal(4))
-        from kolmo_rfn.network import evaluate
-
-        oracle = sum((evaluate(net, x) - yi) ** 2 for x, yi in zip(X, y)) / 11
+        net = RandomFeatureNet(hidden=hidden, W=rng.standard_normal(4), cap=0.5)
+        raw = np.maximum(X @ hidden.A.T + hidden.B, 0.0) @ net.W
+        assert (np.abs(raw) > 0.5).any() and (np.abs(raw) < 0.5).any()
+        oracle = sum((p - yi) ** 2 for p, yi in zip(np.clip(raw, -0.5, 0.5), y)) / 11
         assert empirical_risk(net, make_dataset(X, y)) == pytest.approx(oracle, rel=1e-12)
 
     def test_cap_participates(self):
@@ -532,7 +531,7 @@ class TestRiskAndErrorEstimate:
 
     def test_error_estimate_hand_value(self):
         test = make_dataset(np.zeros((4, 1)), [3.0, 4.0, 0.0, 0.0])
-        assert prediction_error_estimate(self.zero_net(), test) == pytest.approx(2.5)
+        assert empirical_risk(self.zero_net(), test) == pytest.approx(6.25)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(18)
@@ -540,6 +539,6 @@ class TestRiskAndErrorEstimate:
         y = rng.standard_normal(20)
         net = self.zero_net()
         perm = rng.permutation(20)
-        a = prediction_error_estimate(net, make_dataset(X, y))
-        b = prediction_error_estimate(net, make_dataset(X[perm], y[perm]))
+        a = empirical_risk(net, make_dataset(X, y))
+        b = empirical_risk(net, make_dataset(X[perm], y[perm]))
         assert a == pytest.approx(b, rel=1e-12)
