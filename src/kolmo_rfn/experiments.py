@@ -169,6 +169,8 @@ def triplet_to_dict(triplet: LevyTriplet) -> dict:
 
 
 def lognormal_from_dict(doc: dict) -> LognormalSpec:
+    if doc.get("type") != "lognormal":
+        raise ValueError(f"model type {doc.get('type')!r} is not 'lognormal'")
     _reject_unknown(doc, _MODEL_KEYS["lognormal"], "lognormal model")
     cov = doc["cov"]
     if isinstance(cov, dict):
@@ -675,7 +677,7 @@ def run_oracle_convergence(spec: ExperimentSpec) -> ExperimentReport:
     profile = gaussian_profile(payoff, spec.M, spec.C)
     cov = np.array([[2.0 * spec.C]])
     axis = np.linspace(-spec.M, spec.M, spec.grid_points)
-    ref_vals = np.array([reference_convolution(payoff, cov, [g]) for g in axis])
+    ref_vals = reference_convolution(payoff, cov, axis[:, None])
 
     n_max = spec.N_list[-1]
     rows = []

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .levy import Payoff, payoff_log_eval
 from .network import (
@@ -56,7 +55,17 @@ __all__ = [
 # below this the closed-form transforms switch to 4th-order series
 _TAYLOR_CUTOFF = 1e-4
 
+# the closed form of a table segment's first moment loses eps/|eta|
+# absolutely, so its series (through eta^15) takes over below this
+_MOMENT_CUTOFF = 0.5
+
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# reference_convolution: a Gauss-Legendre rule per piece of a window of
+# this many standard deviations either side (the Gaussian mass outside
+# is below 2e-33)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_WINDOW_SDS = 12.0
 
 
 def _tent_base(eta: np.ndarray) -> np.ndarray:
@@ -117,28 +126,48 @@ def phi_hat_indicator(lo: float, hi: float, xi):
     return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def phi_hat_table(xs, ys, xi):
-    """Transform of a piecewise-linear payoff by oscillatory quadrature.
+def _moment_base(eta: np.ndarray) -> np.ndarray:
+    """(sin eta - eta cos eta) / eta^2, with its series below the cutoff."""
 
-    The closed forms above cover hats and boxes; arbitrary tables fall
-    back to weighted quadrature of the Fourier integral, one frequency
-    at a time.
+    out = np.empty(eta.shape)
+    small = np.abs(eta) < _MOMENT_CUTOFF
+    e = eta[small]
+    # sum over k >= 1 of (-1)^(k+1) 2k eta^(2k-1) / (2k+1)!
+    term = e / 3.0
+    acc = term.copy()
+    for k in range(2, 9):
+        term = term * (-e * e) * k / ((k - 1) * 2 * k * (2 * k + 1))
+        acc += term
+    out[small] = acc
+    big = ~small
+    eb = eta[big]
+    out[big] = (np.sin(eb) - eb * np.cos(eb)) / (eb * eb)
+    return out
+
+
+def phi_hat_table(xs, ys, xi):
+    """Transform of a piecewise-linear payoff, zero outside [xs[0], xs[-1]].
+
+    Summed exactly over segments: on one of half-width c about m, with
+    mean value ybar and half-rise delta, the integral is
+    2c e^{-i xi m} (ybar sinc(xi c) - i delta j(xi c)) where
+    j(eta) = (sin eta - eta cos eta)/eta^2. Nonzero end values, the
+    jumps that zero extension makes, need no extra term.
     """
 
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     arr = np.asarray(xi, dtype=float)
     flat = np.atleast_1d(arr)
-
-    def f(x):
-        return np.interp(x, xs, ys, left=0.0, right=0.0)
-
-    a, b = xs[0], xs[-1]
-    out = np.empty(flat.shape, dtype=complex)
-    for k, w in enumerate(flat):
-        re, _ = integrate.quad(f, a, b, weight="cos", wvar=w, limit=200)
-        im, _ = integrate.quad(f, a, b, weight="sin", wvar=w, limit=200)
-        out[k] = _INV_SQRT_2PI * (re - 1j * im)
+    half = 0.5 * np.diff(xs)
+    mid = 0.5 * (xs[1:] + xs[:-1])
+    mean = 0.5 * (ys[1:] + ys[:-1])
+    rise = 0.5 * np.diff(ys)
+    eta = np.outer(flat, half)
+    seg = np.exp(-1j * np.outer(flat, mid)) * (
+        mean * np.sinc(eta / np.pi) - 1j * rise * _moment_base(eta)
+    )
+    out = _INV_SQRT_2PI * (seg @ (2.0 * half))
     return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
@@ -326,32 +355,37 @@ def construct_oracle_weights(hidden: HiddenWeights, profile: FourierProfile) -> 
 # reference targets
 
 
-def reference_convolution(payoff: Payoff, cov, x) -> float:
-    """H(x) = E[Phi(x + V)] for one-dimensional Gaussian V by adaptive quadrature.
+def reference_convolution(payoff: Payoff, cov, x):
+    """H(x) = E[Phi(x + V)] for one-dimensional Gaussian V.
 
-    A zero variance degenerates to Phi(x) itself.
+    ``x`` is one point (a float comes back) or points along the last
+    axis, as for ``payoff_log_eval``. The offset v = y - x runs over
+    [-12 sd, 12 sd] cut to the payoff's support and split at its kinks,
+    and each piece gets a 64-node Gauss-Legendre rule, so a payoff that
+    is polynomial between kinks is integrated to rounding. A zero
+    variance degenerates to Phi(x) itself.
     """
 
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
     cov = _check_psd(cov)
-    if x.shape != (1,) or cov.shape != (1, 1):
+    if arr.shape[-1] != 1 or cov.shape != (1, 1) or payoff.d != 1:
         raise ValueError("reference convolution is one-dimensional")
     if not cov.any():
-        return float(payoff_log_eval(payoff, x))
+        return payoff_log_eval(payoff, arr)
     if payoff.support is None:
         raise ValueError(f"payoff kind {payoff.kind!r} has unbounded log-support")
-    lo, hi = payoff.support
     sd = math.sqrt(cov[0, 0])
-
-    def f(v):
-        return payoff_log_eval(payoff, np.array([x[0] + v])) * (
-            _INV_SQRT_2PI / sd * math.exp(-0.5 * (v / sd) ** 2)
-        )
-
-    a, b = lo[0] - x[0], hi[0] - x[0]
-    pts = sorted({min(max(k - x[0], a), b) for k in payoff.kinks})
-    val, _ = integrate.quad(f, a, b, points=pts, limit=200, epsabs=1e-12, epsrel=1e-10)
-    return float(val)
+    pts = arr.reshape(-1, 1)
+    lo = np.maximum(payoff.support[0][0] - pts, -_WINDOW_SDS * sd)
+    hi = np.maximum(np.minimum(payoff.support[1][0] - pts, _WINDOW_SDS * sd), lo)
+    kinks = np.asarray(payoff.kinks, dtype=float) - pts
+    cuts = np.sort(np.clip(np.hstack([lo, kinks, hi]), lo, hi), axis=1)
+    half = 0.5 * np.diff(cuts, axis=1)
+    v = (0.5 * (cuts[:, 1:] + cuts[:, :-1]))[..., None] + half[..., None] * _GL_NODES
+    dens = np.exp(-0.5 * (v / sd) ** 2) * (_INV_SQRT_2PI / sd)
+    vals = payoff_log_eval(payoff, (pts[..., None] + v)[..., None]) * dens
+    out = ((vals @ _GL_WEIGHTS) * half).sum(axis=1)
+    return float(out[0]) if arr.ndim == 1 else out.reshape(arr.shape[:-1])
 
 
 def sup_error_on_grid(net: RandomFeatureNet, reference_values, M: float) -> float:

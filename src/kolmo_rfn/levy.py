@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .rng import substream
 
@@ -324,9 +323,13 @@ class Payoff:
 
     ``fn`` evaluates points along the last axis: price vectors s in
     [0, inf)^d for asset-space kinds (max_call, basket_put), x = log(s)
-    for ``log_space`` kinds (tent, indicator, table, truncated). These
-    also carry their support's bounding box (None if unbounded) and the
-    kinks of their first coordinate, the breakpoints for quadrature.
+    for ``log_space`` kinds (tent, indicator, table, truncated).
+    ``support`` is the bounding box of the log-support (None if
+    unbounded). ``kinks`` lists, in log-coordinates, every point where
+    the payoff along its first coordinate is not smooth, the breakpoints
+    a quadrature rule must split at: a one-asset max_call or basket_put
+    has its strike's, a multi-asset one none (its kinks move with the
+    other assets).
     """
 
     kind: str
@@ -353,7 +356,8 @@ def max_call(strike: float, d: int = 1) -> Payoff:
             top = np.maximum(top, s[..., j])
         return np.maximum(top - strike, 0.0)
 
-    return Payoff("max_call", {"strike": strike, "d": d}, d, False, fn)
+    kinks = (math.log(strike),) if d == 1 and strike > 0 else ()
+    return Payoff("max_call", {"strike": strike, "d": d}, d, False, fn, kinks=kinks)
 
 
 def basket_put(strike: float, weights) -> Payoff:
@@ -363,9 +367,11 @@ def basket_put(strike: float, weights) -> Payoff:
     if (w < 0).any():
         raise ValueError("basket weights must be nonnegative")
     strike = float(strike)
+    kinks = (math.log(strike / w[0]),) if w.shape == (1,) and strike > 0 and w[0] > 0 else ()
     return Payoff(
         "basket_put", {"strike": strike, "weights": w}, w.shape[0], False,
         lambda s: np.maximum(strike - s @ w, 0.0),
+        kinks=kinks,
     )
 
 
@@ -537,6 +543,29 @@ def price_mc(triplet: LevyTriplet, payoff: Payoff, x, T: float, paths: int, rng)
     return mean, math.sqrt(var / paths)
 
 
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def _ndtr_one(a: float) -> float:
+    # Cephes' ndtr: erf near zero, erfc in the tails where erf would lose digits
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * math.erf(x)
+    y = 0.5 * math.erfc(z)
+    return 1.0 - y if x > 0 else y
+
+
+_ndtr_ufunc = np.frompyfunc(_ndtr_one, 1, 1)
+
+
+def _ndtr(x) -> np.ndarray:
+    """Standard normal CDF, elementwise (a NaN stays NaN)."""
+
+    with np.errstate(invalid="ignore"):
+        return np.asarray(_ndtr_ufunc(np.asarray(x, dtype=float)), dtype=float)
+
+
 def bs_call_price(spot, strike, sigma: float, T: float):
     """Black-Scholes call at zero rate: spot*N(d1) - strike*N(d2)."""
 
@@ -547,7 +576,7 @@ def bs_call_price(spot, strike, sigma: float, T: float):
         return np.maximum(spot - strike, 0.0)[()]
     with np.errstate(divide="ignore"):
         d1 = np.where(strike > 0, (np.log(np.maximum(spot, 1e-300) / np.where(strike > 0, strike, 1.0)) + 0.5 * sig * sig) / sig, np.inf)
-    val = spot * ndtr(d1) - strike * ndtr(d1 - sig)
+    val = spot * _ndtr(d1) - strike * _ndtr(d1 - sig)
     return np.where(strike > 0, np.where(spot > 0, val, 0.0), spot)[()]
 
 

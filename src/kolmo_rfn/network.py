@@ -16,11 +16,11 @@ overflows for moderate d) and JSON model persistence.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaln
 
 from .rng import substream
 
@@ -179,8 +179,8 @@ def log_pi_w(spec: WeightDistributionSpec, x) -> np.ndarray | float:
     d = pts.shape[1]
     nu = spec.nu
     norm = (
-        gammaln((nu + d) / 2.0)
-        - gammaln(nu / 2.0)
+        math.lgamma((nu + d) / 2.0)
+        - math.lgamma(nu / 2.0)
         - 0.5 * d * np.log(nu)
         - 0.5 * d * np.log(np.pi)
     )
@@ -199,7 +199,7 @@ def log_pi_b(spec: WeightDistributionSpec, u) -> np.ndarray | float:
 
     arr = np.asarray(u, dtype=float)
     k = spec.b_dof
-    norm = gammaln((k + 1.0) / 2.0) - gammaln(k / 2.0) - 0.5 * np.log(k * np.pi)
+    norm = math.lgamma((k + 1.0) / 2.0) - math.lgamma(k / 2.0) - 0.5 * np.log(k * np.pi)
     val = norm - 0.5 * (k + 1.0) * np.log1p(arr * arr / k)
     return float(val) if np.isscalar(u) or arr.ndim == 0 else val
 

@@ -210,6 +210,17 @@ class TestValidationExits:
         assert "data_cfg.json" in err and repr(typo) in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_gen_data_basket_rejects_other_model_type(self, tmp_path, capsys):
+        cfg = tmp_path / "basket_cfg.json"
+        doc = {"kind": "basket_put", "n": 5, "paths": 5,
+               "model": {"type": "heston", "s0": [1.0], "cov": [[0.04]]}}
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "x.csv"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "basket_cfg.json" in err and "'heston'" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_gen_data_without_output(self, tmp_path, pde_data_config, capsys):
         assert main(["gen-data", "--config", str(pde_data_config)]) == 1
         assert "--out" in capsys.readouterr().err

@@ -243,6 +243,14 @@ class TestModelDicts:
         logn = {"type": "lognormal", "s0": [1.0, 1.0], "cov": cov, "T": 2.0}
         np.testing.assert_allclose(lognormal_from_dict(logn).cov, equal_correlation_sigma(0.2, 0.5, 2))
 
+    @pytest.mark.parametrize("kind", ["heston", "triplet", None])
+    def test_lognormal_needs_its_type(self, kind):
+        doc = {"s0": [1.0], "cov": [[0.04]]}
+        if kind is not None:
+            doc["type"] = kind
+        with pytest.raises(ValueError, match=f"model type {kind!r}"):
+            lognormal_from_dict(doc)
+
     def test_lognormal_round_trip(self):
         spec = LognormalSpec(s0=np.array([1.0, 0.9]), cov=equal_correlation_sigma(0.3, 0.5, 2), T=2.0)
         again = lognormal_from_dict(lognormal_to_dict(spec))

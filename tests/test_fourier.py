@@ -20,6 +20,7 @@ from kolmo_rfn.fourier import (
 )
 from kolmo_rfn.levy import (
     indicator,
+    max_call,
     payoff_from_dict,
     payoff_log_eval,
     payoff_to_dict,
@@ -63,10 +64,25 @@ def zero_profile(d=1):
     )
 
 
-def quad_transform(f, a, b, xi):
-    re, _ = integrate.quad(lambda x: f(x) * math.cos(x * xi), a, b, limit=400)
-    im, _ = integrate.quad(lambda x: f(x) * math.sin(x * xi), a, b, limit=400)
+def quad_transform(f, a, b, xi, points=None):
+    kw = {"limit": 400} if points is None else {"limit": 2000, "points": points, "epsabs": 1e-14}
+    re, _ = integrate.quad(lambda x: f(x) * math.cos(x * xi), a, b, **kw)
+    im, _ = integrate.quad(lambda x: f(x) * math.sin(x * xi), a, b, **kw)
     return INV_SQRT_2PI * (re - 1j * im)
+
+
+def quad_reference(payoff, var, x):
+    """The adaptive-quad convolution the Gauss-Legendre rule replaced."""
+
+    sd = math.sqrt(var)
+    lo, hi = payoff.support
+    a, b = lo[0] - x, hi[0] - x
+    pts = sorted({min(max(k - x, a), b) for k in payoff.kinks})
+    val, _ = integrate.quad(
+        lambda v: payoff_log_eval(payoff, [x + v]) * INV_SQRT_2PI / sd * math.exp(-0.5 * (v / sd) ** 2),
+        a, b, points=pts, limit=200, epsabs=1e-12, epsrel=1e-10,
+    )
+    return val
 
 
 class TestTentTransform:
@@ -153,6 +169,32 @@ class TestTableTransform:
         grid = np.array([0.1, 1.0])
         batch = phi_hat_table(xs, ys, grid)
         assert np.allclose(batch, [phi_hat_table(xs, ys, g) for g in grid], rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [
+            ([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]),
+            ([-1.2, -0.3, 0.4, 1.1], [0.2, 1.0, 0.5, 0.7]),  # jumps at both ends
+            ([0.0, 1.0, 2.0], [1.0, 1.0, 0.0]),
+        ],
+        ids=["hat", "nonzero_ends", "trapezoid"],
+    )
+    def test_matches_quadrature_to_high_frequency(self, xs, ys):
+        f = lambda x: float(np.interp(x, xs, ys, left=0.0, right=0.0))
+        xis = [0.0, 1e-7, 1e-4, 0.3, -2.5, 7.0, 33.3, -120.7, 250.1, 500.0, -500.0]
+        got = phi_hat_table(xs, ys, np.array(xis))
+        for xi, g in zip(xis, got):
+            want = quad_transform(f, xs[0], xs[-1], xi, points=xs[1:-1])
+            assert abs(g - want) <= 1e-14
+
+    def test_series_branch_joins_closed_form(self):
+        # the segment moment switches to its series below |eta| = 0.5; a
+        # one-segment ramp puts eta = xi on both sides of the switch
+        xs, ys = [-1.0, 1.0], [0.0, 2.0]
+        f = lambda x: x + 1.0
+        for xi in (0.4999999, 0.5, 0.5000001, -0.5, 1e-3):
+            want = quad_transform(f, -1.0, 1.0, xi, points=[])
+            assert abs(phi_hat_table(xs, ys, xi) - want) <= 1e-15
 
 
 class TestCharFn:
@@ -383,6 +425,49 @@ class TestReferenceConvolution:
             got = reference_convolution(po, [[s * s]], [x])
             assert got == pytest.approx(frozen, rel=1e-7)
 
+    def test_tiny_variance_keeps_the_peak(self):
+        # adaptive quad over the whole support missed the narrow peak and
+        # returned about 1e-33; the window follows the standard deviation
+        got = reference_convolution(tent(0.0, 1.0), [[1e-6]], [0.08])
+        assert got == pytest.approx(0.92, abs=1e-9)
+
+    def test_truncated_call_against_partial_expectation(self):
+        # e^y - 1 on 0 <= y <= 1.5, y ~ N(x, s^2): a lognormal partial expectation
+        po = truncated(max_call(1.0), 1.5)
+        s = 0.5
+        for x in (-0.9, -0.2, 0.0, 0.35, 1.0):
+            lo, hi = -x / s, (1.5 - x) / s
+            closed = math.exp(x + 0.5 * s * s) * (ndtr(hi - s) - ndtr(lo - s)) - (ndtr(hi) - ndtr(lo))
+            assert reference_convolution(po, [[s * s]], [x]) == pytest.approx(closed, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "po",
+        [tent(0.0, 1.0), table([-1.2, -0.3, 0.4, 1.1], [0.2, 1.0, 0.5, 0.7]), indicator([-0.5], [0.7]),
+         truncated(tent(0.25, 0.5), 0.5)],
+        ids=["tent", "table", "indicator", "truncated_tent"],
+    )
+    def test_batched_grid_matches_adaptive_quad(self, po):
+        grid = np.linspace(-1.0, 1.0, 41)
+        got = reference_convolution(po, [[0.3]], grid[:, None])
+        assert got.shape == grid.shape
+        want = np.array([quad_reference(po, 0.3, g) for g in grid])
+        assert np.abs(got - want).max() <= 1e-13
+        for g, v in zip(grid[::10], got[::10]):
+            assert reference_convolution(po, [[0.3]], [g]) == v
+
+    def test_points_along_last_axis(self):
+        po = tent(0.0, 1.0)
+        pts = np.linspace(-1.0, 1.0, 6).reshape(2, 3, 1)
+        got = reference_convolution(po, [[0.3]], pts)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got.ravel(), reference_convolution(po, [[0.3]], pts.reshape(-1, 1)))
+        assert isinstance(reference_convolution(po, [[0.3]], [0.1]), float)
+        zero = reference_convolution(po, [[0.0]], pts)
+        assert np.array_equal(zero, payoff_log_eval(po, pts))
+
+    def test_far_from_the_support_is_zero(self):
+        assert reference_convolution(tent(0.0, 1.0), [[0.01]], [5.0]) == 0.0
+
     def test_symmetry_inherited(self):
         po = tent(0.0, 1.0)
         for x in (0.2, 0.7):
@@ -473,7 +558,7 @@ class TestRateSanity:
         prof = canonical_profile()
         spec = WeightDistributionSpec()
         grid = np.linspace(-1.0, 1.0, 101)
-        ref_vals = np.array([reference_convolution(tent(0.0, 1.0), [[0.3]], [g]) for g in grid])
+        ref_vals = reference_convolution(tent(0.0, 1.0), [[0.3]], grid[:, None])
         errs = {10: [], 400: []}
         for seed in range(6):
             hidden = sample_hidden_weights(spec, N=400, d=1, seed=seed)

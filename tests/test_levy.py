@@ -7,6 +7,7 @@ from kolmo_rfn.levy import (
     STRONG_FORM_THRESHOLD,
     CompoundPoissonSpec,
     LevyTriplet,
+    _ndtr,
     basket_put,
     bs_call_price,
     bs_put_price,
@@ -326,8 +327,17 @@ class TestPayoffs:
         [
             (max_call(1.1, d=3), 3, None, (), {"kind": "max_call", "params": {"strike": 1.1, "d": 3}}),
             (
+                max_call(1.1), 1, None, (0.09531017980432493,),
+                {"kind": "max_call", "params": {"strike": 1.1, "d": 1}},
+            ),
+            (max_call(0.0), 1, None, (), {"kind": "max_call", "params": {"strike": 0.0, "d": 1}}),
+            (
                 basket_put(1.2, [0.5, 0.25]), 2, None, (),
                 {"kind": "basket_put", "params": {"strike": 1.2, "weights": [0.5, 0.25]}},
+            ),
+            (
+                basket_put(1.2, [0.5]), 1, None, (0.8754687373538999,),
+                {"kind": "basket_put", "params": {"strike": 1.2, "weights": [0.5]}},
             ),
             (
                 tent(0.25, 0.5), 1, ([-0.25], [0.75]), (-0.25, 0.25, 0.75),
@@ -349,6 +359,13 @@ class TestPayoffs:
                         "inner": {"kind": "max_call", "params": {"strike": 1.0, "d": 2}},
                         "bound": 2.0,
                     },
+                },
+            ),
+            (
+                truncated(max_call(1.0), 1.5), 1, ([-1.5], [1.5]), (-1.5, 0.0, 1.5),
+                {
+                    "kind": "truncated",
+                    "params": {"inner": {"kind": "max_call", "params": {"strike": 1.0, "d": 1}}, "bound": 1.5},
                 },
             ),
             (
@@ -374,8 +391,9 @@ class TestPayoffs:
             ),
         ],
         ids=[
-            "max_call", "basket_put", "tent", "indicator_2d", "table",
-            "truncated_max_call", "truncated_indicator_2d", "truncated_tent",
+            "max_call", "max_call_1d", "max_call_zero_strike", "basket_put", "basket_put_1d",
+            "tent", "indicator_2d", "table", "truncated_max_call", "truncated_max_call_1d",
+            "truncated_indicator_2d", "truncated_tent",
         ],
     )
     def test_kind_facts_are_pinned(self, po, d, support, kinks, doc):
@@ -456,6 +474,21 @@ class TestBlackScholes:
     def test_zero_strike(self):
         assert bs_call_price(1.0, 0.0, 0.2, 1.0) == 1.0
         assert bs_put_price(1.0, 0.0, 0.2, 1.0) == 0.0
+
+    def test_ndtr_matches_scipy(self):
+        from scipy.special import ndtr
+
+        x = np.concatenate([np.linspace(-37.0, 37.0, 200_001), [-np.inf, np.inf, np.nan, 0.0, -0.0]])
+        got = _ndtr(x)
+        want = ndtr(x)
+        assert got.shape == x.shape and got.dtype == np.float64
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.abs(got - want)[~np.isnan(want)].max() <= 2.3e-16
+        # the lower tail keeps its relative accuracy, down to ndtr(-37) ~ 6e-300
+        tail = (x < -1.0) & np.isfinite(x)
+        assert (np.abs(got - want)[tail] / want[tail]).max() <= 1e-13
+        assert got[-5] == 0.0 and got[-4] == 1.0
+        assert _ndtr(0.3).shape == () and _ndtr(0.0) == 0.5
 
     def test_grid_evaluation(self):
         k = np.array([0.0, 0.6, 1.0, 1.4])

@@ -10,6 +10,7 @@ from kolmo_rfn.network import (
     WeightDistributionSpec,
     design_matrix,
     load_model,
+    log_pi_b,
     log_pi_w,
     net_from_dict,
     net_to_dict,
@@ -138,6 +139,17 @@ class TestDensities:
         # the Gamma prefactor overflows naive evaluation near d ~ 300
         val = log_pi_w(SPEC, np.zeros(2000))
         assert np.isfinite(val)
+
+    @pytest.mark.parametrize("nu, b_dof", [(5.0, 2.0), (2.5, 3.5), (1.5, 0.7), (40.0, 11.0)])
+    def test_normalising_constants_match_gammaln(self, nu, b_dof):
+        from scipy.special import gammaln
+
+        spec = WeightDistributionSpec(nu=nu, b_dof=b_dof)
+        for d in (1, 3, 50):
+            want = gammaln((nu + d) / 2) - gammaln(nu / 2) - 0.5 * d * np.log(nu * np.pi)
+            assert abs(log_pi_w(spec, np.zeros(d)) - want) <= 1e-15 * max(1.0, abs(want))
+        want = gammaln((b_dof + 1) / 2) - gammaln(b_dof / 2) - 0.5 * np.log(b_dof * np.pi)
+        assert abs(log_pi_b(spec, 0.0) - want) <= 1e-15
 
     def test_pi_b_frozen_values(self):
         # 50-digit mpmath evaluation of the Student-t density

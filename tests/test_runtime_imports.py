@@ -1,0 +1,108 @@
+"""The package runs on numpy alone: scipy is a test dependency only.
+
+A fresh interpreter imports ``kolmo_rfn.cli``, runs every experiment kind
+and the CLI data, weight-sampling, training and evaluation commands at
+tiny size, and then lists the scipy modules it has loaded. Checking
+``sys.modules`` at the end also catches an import made lazily inside a
+function.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_MAX_CALL = {"kind": "max_call", "params": {"strike": 1.0, "d": 2}}
+_MODEL = {"type": "equal_correlation", "sigma": 0.2, "rho": 0.2, "d": 2}
+
+_TRAIN = {
+    "ols": {"method": "ols"},
+    "constrained": {"method": "constrained", "lambda": 5.0},
+    "sgd": {"method": "sgd", "lambda": 100.0, "eta0": 0.003, "steps": 50},
+}
+
+EXPERIMENTS = {
+    **{
+        f"rate_curve_{method}": {
+            "kind": "rate_curve", "model": _MODEL, "payoff": _MAX_CALL,
+            "n_train": 300, "n_test": 20, "paths": 20, "N_list": [5, 10], "train": train,
+        }
+        for method, train in _TRAIN.items()
+    },
+    "basket_put": {
+        "kind": "basket_put", "model": {"type": "lognormal", "s0": [1.0], "cov": [[0.04]], "T": 1.0},
+        "basket_weights": [1.0], "n_train": 200, "n_test": 50, "N_list": [20], "paths": 10,
+        "train": {"method": "ols"}, "grid_points": 11,
+    },
+    "sgd_vs_ols": {
+        "kind": "sgd_vs_ols", "model": _MODEL, "payoff": _MAX_CALL, "n_train": 100, "n_test": 1,
+        "N_list": [10], "train": _TRAIN["sgd"], "sgd_seeds": 1,
+    },
+    "oracle_convergence": {
+        "kind": "oracle_convergence", "payoff": {"kind": "tent", "params": {"center": 0.0, "width": 1.0}},
+        "C": 0.15, "N_list": [10, 20], "oracle_seeds": 1, "grid_points": 11,
+    },
+    "oracle_table": {
+        "kind": "oracle_convergence",
+        "payoff": {"kind": "table", "params": {"xs": [-1.0, 0.0, 1.0], "ys": [0.2, 1.0, 0.0]}},
+        "C": 0.15, "N_list": [10], "oracle_seeds": 1, "grid_points": 11,
+    },
+}
+
+DATA = {
+    "pde": {
+        "kind": "pde", "model": _MODEL, "payoff": _MAX_CALL, "n": 100, "label_kind": "mc_price", "paths": 10,
+    },
+    "basket": {"kind": "basket_put", "model": EXPERIMENTS["basket_put"]["model"], "n": 50, "paths": 10},
+}
+
+SCRIPT = """
+import json, sys
+from kolmo_rfn.cli import main
+
+runs = json.loads(sys.argv[1])
+for argv in runs:
+    code = main(argv)
+    if code != 0:
+        sys.exit(f"exit {code}: {argv}")
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def _commands(tmp: Path) -> list[list[str]]:
+    runs = []
+    for name, doc in EXPERIMENTS.items():
+        cfg = tmp / f"{name}_config.json"
+        cfg.write_text(json.dumps(doc))
+        runs.append(["experiment", doc["kind"], "--config", str(cfg), "--out", str(tmp / name)])
+    for name, doc in DATA.items():
+        cfg = tmp / f"data_{name}.json"
+        cfg.write_text(json.dumps(doc))
+        train, test = (str(tmp / f"{name}_{split}.csv") for split in ("train", "test"))
+        runs.append(["gen-data", "--config", str(cfg), "--seed", "1", "--out", train])
+        runs.append(["gen-data", "--config", str(cfg), "--seed", "2", "--out", test])
+        for method in ("ols", "constrained", "sgd"):
+            model = str(tmp / f"{name}_{method}.json")
+            runs.append(["train", "--data", train, "--N", "8", "--method", method, "--lambda", "5",
+                         "--eta0", "0.003", "--steps", "50", "--out", model])
+            runs.append(["evaluate", "--model", model, "--data", test])
+    hidden = str(tmp / "hidden.json")
+    runs.append(["sample-weights", "--N", "8", "--d", "2", "--seed", "1", "--out", hidden])
+    runs.append(["train", "--data", str(tmp / "pde_train.csv"), "--hidden", hidden, "--method", "ols",
+                 "--out", str(tmp / "pde_hidden_ols.json")])
+    return runs
+
+
+def test_package_runs_without_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, json.dumps(_commands(tmp_path))],
+        capture_output=True, text=True, timeout=300, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    for name in EXPERIMENTS:
+        assert (tmp_path / f"{name}.json").exists() and (tmp_path / f"{name}.csv").exists()
