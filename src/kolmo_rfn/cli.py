@@ -3,7 +3,9 @@
 Subcommands cover the full workflow: sample hidden weights, generate
 datasets, train output weights, evaluate a saved model, and run the
 packaged experiments. Exit codes: 0 on success, 1 for validation and
-usage problems, 2 for I/O failures (missing or unreadable files).
+usage problems, 2 for I/O failures (missing or unreadable files), 3
+when an experiment ran but some of its widths failed (its report is
+written and each failure is named on stderr).
 """
 
 from __future__ import annotations
@@ -30,12 +32,11 @@ from .levy import payoff_from_dict
 from .network import (
     RandomFeatureNet,
     WeightDistributionSpec,
-    design_matrix,
     load_model,
     sample_hidden_weights,
     save_model,
 )
-from .train import METHODS, TrainConfig, empirical_risk, fit
+from .train import METHODS, TrainConfig, empirical_risk, fit_widths
 
 __all__ = ["main"]
 
@@ -150,8 +151,7 @@ def _cmd_train(args) -> int:
         method=args.method, lam=args.lam, eta0=args.eta0, batch=args.batch,
         steps=args.steps, seed=args.seed, cap=args.cap, average=args.average,
     )
-    design = design_matrix(hidden, ds.X)
-    W, diag = fit(design, ds.Y, cfg)
+    W, diag, _ = fit_widths(hidden, (hidden.N,), ds, cfg)[hidden.N]
     net = RandomFeatureNet(hidden=hidden, W=W, cap=args.cap)
     save_model(net, args.out)
     diag_doc = diag.to_dict()
@@ -209,7 +209,7 @@ def _cmd_experiment(args) -> int:
     print(json.dumps(summary))
     for failure in errors:
         print(f"error: N={failure['N']}: {failure['error']}", file=sys.stderr)
-    return 0
+    return 3 if errors else 0
 
 
 def _build_parser() -> _Parser:

@@ -42,6 +42,7 @@ from .levy import (
     simulate_levy_increment,
     sqrt_sigma,
 )
+from .network import row_blocks
 from .rng import row_streams, substream
 
 __all__ = [
@@ -231,7 +232,9 @@ def gen_pde_dataset(
         sampler = IncrementSampler(triplet, T)
 
         def values(rows, z, *jumps):
-            return payoff_eval(payoff, np.exp(X[rows, None, :] + sampler.increments(z, *jumps)))
+            out = sampler.increments(z, *jumps)
+            out += X[rows, None, :]
+            return payoff_eval(payoff, np.exp(out, out=out))
 
         Y, se = _mc_labels(seed, n, paths, d, sampler.draw, values)
     kwargs = {"paths": paths, "label_se": se}
@@ -310,11 +313,15 @@ def save_dataset(ds: Dataset, path) -> None:
 
     path = Path(path)
     header = ",".join([f"x_{j + 1}" for j in range(ds.d)] + ["y"])
-    body = np.column_stack([ds.X, ds.Y])
-    # the bytes np.savetxt(fmt="%.17g") writes, formatted in one call
-    # instead of one call per row
-    row = ",".join(["%.17g"] * body.shape[1]) + "\n"
-    path.write_text(header + "\n" + (row * body.shape[0]) % tuple(body.ravel().tolist()))
+    # the bytes np.savetxt(fmt="%.17g") writes, formatted one call per
+    # block of rows instead of one call per row, so the text of only one
+    # block is held at once
+    row = ",".join(["%.17g"] * (ds.d + 1)) + "\n"
+    with path.open("w") as fh:
+        fh.write(header + "\n")
+        for rows in row_blocks(ds.n):
+            body = np.column_stack([ds.X[rows], ds.Y[rows]])
+            fh.write((row * body.shape[0]) % tuple(body.ravel().tolist()))
     sidecar = {
         "label_kind": ds.label_kind,
         "seed": int(ds.seed),

@@ -45,11 +45,12 @@ from .network import (
     RandomFeatureNet,
     WeightDistributionSpec,
     design_matrix,
+    row_blocks,
     sample_hidden_weights,
     subnetwork,
 )
 from .rng import derive_seed
-from .train import TrainConfig, fit, fit_ols, fit_sgd, fold_rows, prefix_problem, risk_from_r
+from .train import _NUMERIC_FAILURES, TrainConfig, fit, fit_ols, fit_sgd, fit_widths
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -77,16 +78,6 @@ _SPEC_KEYS = frozenset({
     "test_paths", "weights", "independent_hidden", "basket_weights", "C",
     "oracle_seeds", "sgd_seeds", "grid_points", "checkpoints",
 })
-
-# design rows per TSQR fold and per held-out block of a rate curve. On
-# the 2e4 x 160 desk curve (2 cores, OpenBLAS 0.3.31) a whole op peaked
-# at 107 MB in about 0.71 s with 2 048 rows, 115 MB in 0.66 s with 4 096
-# and 139 MB in 0.59 s with 8 192, against 150 MB in 0.69 s for the
-# whole design; 4 096 keeps most of the memory saving at no time cost
-_ROW_BLOCK = 4096
-
-# what a per-width fit may raise without aborting the whole curve
-_NUMERIC_FAILURES = (np.linalg.LinAlgError, ArithmeticError, ValueError)
 
 # substream ids under the master seed
 _TRAIN_DATA = 1
@@ -497,7 +488,8 @@ def run_rate_curve(spec: ExperimentSpec, datasets: tuple[Dataset, Dataset] | Non
     for widths, seed in layers:
         try:
             hidden = sample_hidden_weights(spec.weight_spec, widths[-1], train_ds.d, seed)
-            solved = _fit_widths(hidden, widths, train_ds, cfg, failed)
+            # this module's fit, so wrapping experiments.fit wraps every width's solve
+            solved = fit_widths(hidden, widths, train_ds, cfg, failed, solve=fit)
             for N, e_hat in _held_out_rmse(hidden, solved, test_ds, cfg.cap).items():
                 fits[N] = (e_hat, *solved[N][1:])
         except _NUMERIC_FAILURES as exc:  # the layer's R or held-out pass failed: all its widths did
@@ -526,43 +518,6 @@ def run_rate_curve(spec: ExperimentSpec, datasets: tuple[Dataset, Dataset] | Non
     )
 
 
-def _row_blocks(n: int) -> list[slice]:
-    return [slice(i, i + _ROW_BLOCK) for i in range(0, n, _ROW_BLOCK)]
-
-
-def _fit_widths(hidden, widths, train_ds: Dataset, cfg: TrainConfig, failed: dict) -> dict:
-    """Fit each width's prefix of ``hidden``: N -> (W, diagnostics, solve ms).
-
-    OLS and the constrained fit solve the small problem cut from one R
-    of the streamed train design; SGD samples rows, so it alone gets the
-    design. A width whose own solve fails is recorded in ``failed``.
-    """
-
-    if cfg.method == "sgd":
-        x_train = design_matrix(hidden, train_ds.X).values
-    else:
-        r = None
-        for rows in _row_blocks(train_ds.n):
-            r = fold_rows(r, design_matrix(hidden, train_ds.X[rows]), train_ds.Y[rows])
-        if r is None:
-            raise ValueError("cannot fit on empty data")
-
-    solved = {}
-    for N in widths:
-        t0 = time.perf_counter()
-        try:
-            if cfg.method == "sgd":
-                W, diag = fit(x_train[:, :N], train_ds.Y, cfg)
-            else:
-                W, diag = fit(*prefix_problem(r, N), cfg)
-                diag = replace(diag, empirical_risk=risk_from_r(r, W, train_ds.n))
-        except _NUMERIC_FAILURES as exc:
-            failed[N] = str(exc)
-            continue
-        solved[N] = (W, diag, (time.perf_counter() - t0) * 1e3)
-    return solved
-
-
 def _held_out_rmse(hidden, solved: dict, test_ds: Dataset, cap) -> dict[int, float]:
     """Capped held-out RMSE of every solved width, one gemm per test block.
 
@@ -576,7 +531,7 @@ def _held_out_rmse(hidden, solved: dict, test_ds: Dataset, cap) -> dict[int, flo
     for j, N in enumerate(widths):
         stack[:N, j] = solved[N][0]
     sse = np.zeros(len(widths))
-    for rows in _row_blocks(test_ds.n):
+    for rows in row_blocks(test_ds.n):
         resid = design_matrix(hidden, test_ds.X[rows]).values @ stack
         if cap is not None:
             np.clip(resid, -cap, cap, out=resid)

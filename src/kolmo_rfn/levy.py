@@ -282,7 +282,9 @@ class IncrementSampler:
         z's paths in row-major order (several draws concatenated).
         """
 
-        out = self.shift + self.scale * (z @ self.root_t)
+        out = z @ self.root_t
+        out *= self.scale
+        out += self.shift
         if self.rate is not None:
             if atoms.size:
                 flat = out.reshape(-1, self.d)

@@ -15,6 +15,8 @@ The first two also run without the design: ``fold_rows`` folds row
 blocks of ``[X | Y]`` into one R factor, ``prefix_problem`` cuts from
 it a small problem with the same solutions as any leading-column
 width, and ``risk_from_r`` gives the design's empirical risk.
+``fit_widths`` runs that path (or SGD on the design) for the rate
+curve and the CLI alike.
 
 The output cap, when a model carries one, acts at prediction time
 only; no trainer ever sees it.
@@ -23,12 +25,20 @@ only; no trainer ever sees it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import Dataset
-from .network import FeatureMatrix, RandomFeatureNet, predict
+from .network import (
+    FeatureMatrix,
+    HiddenWeights,
+    RandomFeatureNet,
+    design_matrix,
+    predict,
+    row_blocks,
+)
 from .rng import substream
 
 __all__ = [
@@ -42,6 +52,7 @@ __all__ = [
     "project_ball",
     "fit_sgd",
     "fit",
+    "fit_widths",
     "empirical_risk",
 ]
 
@@ -51,6 +62,9 @@ _SGD_INDEX_STREAM = 60
 _SVD_RCOND = 1e-10
 
 METHODS = ("ols", "constrained", "sgd")
+
+# what a fit may raise without aborting the other widths of a curve
+_NUMERIC_FAILURES = (np.linalg.LinAlgError, ArithmeticError, ValueError)
 
 # the keys TrainConfig.to_dict writes; from_dict rejects any other
 _CONFIG_KEYS = frozenset({"method", "seed", "lambda", "eta0", "batch", "steps", "cap", "average"})
@@ -208,7 +222,7 @@ def fit_constrained(design, Y, lam: float) -> tuple[np.ndarray, FitDiagnostics]:
         raise ValueError(f"lam must be positive, got {lam}")
     X, y = _check_xy(design, Y)
     N = X.shape[1]
-    r = np.linalg.qr(np.column_stack([X, y]), mode="r")
+    r = _fold(None, X, y)
     k = min(r.shape[0], N)
     u, s, vt = np.linalg.svd(r[:k, :N], full_matrices=False)
     keep = s > _SVD_RCOND * s[0] if s.size and s[0] > 0 else np.zeros(s.shape, dtype=bool)
@@ -262,6 +276,20 @@ def fit_constrained(design, Y, lam: float) -> tuple[np.ndarray, FitDiagnostics]:
     return W, diag
 
 
+def _fold(r: np.ndarray | None, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # r and the rows [X | y] go into one column-major buffer: LAPACK reads
+    # the same column-major data a stacked copy would give it, so R has
+    # the same bits, without the stacking copies or numpy's transposing one
+    top = 0 if r is None else r.shape[0]
+    N = X.shape[1]
+    rows = np.empty((top + X.shape[0], N + 1), order="F")
+    if r is not None:
+        rows[:top] = r
+    rows[top:, :N] = X
+    rows[top:, N] = y
+    return np.linalg.qr(rows, mode="r")
+
+
 def fold_rows(r: np.ndarray | None, design, Y) -> np.ndarray:
     """Fold the rows ``[X | Y]`` into the R of a running TSQR.
 
@@ -273,10 +301,7 @@ def fold_rows(r: np.ndarray | None, design, Y) -> np.ndarray:
     """
 
     X, y = _check_xy(design, Y)
-    rows = np.column_stack([X, y])
-    if r is not None:
-        rows = np.vstack([r, rows])
-    return np.linalg.qr(rows, mode="r")
+    return _fold(r, X, y)
 
 
 def prefix_problem(r: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -386,6 +411,49 @@ def fit(design, Y, config: TrainConfig) -> tuple[np.ndarray, FitDiagnostics]:
     if config.method == "constrained":
         return fit_constrained(design, Y, config.lam)
     return fit_sgd(design, Y, config)
+
+
+def fit_widths(
+    hidden: HiddenWeights, widths, data: Dataset, config: TrainConfig,
+    failed: dict | None = None, solve=fit,
+) -> dict:
+    """Fit each width's leading features of ``hidden``: N -> (W, diagnostics, solve ms).
+
+    OLS and the constrained fit never build the n x N design: its
+    ``ROW_BLOCK``-row blocks are folded into one R of ``[X | Y]`` and
+    each width solves the small problem ``prefix_problem`` cuts from it,
+    with the design's risk from ``risk_from_r``. SGD samples rows, so it
+    alone gets the whole design. A width whose own solve fails is
+    recorded in ``failed`` (N -> message) when a dict is given and
+    raises otherwise; a failed fold always raises. ``solve`` is the
+    trainer run on every width, ``fit`` unless a caller wraps it.
+    """
+
+    if config.method == "sgd":
+        x_train = design_matrix(hidden, data.X).values
+    else:
+        r = None
+        for rows in row_blocks(data.n):
+            r = fold_rows(r, design_matrix(hidden, data.X[rows]), data.Y[rows])
+        if r is None:
+            raise ValueError("cannot fit on empty data")
+
+    solved = {}
+    for N in widths:
+        t0 = time.perf_counter()
+        try:
+            if config.method == "sgd":
+                W, diag = solve(x_train[:, :N], data.Y, config)
+            else:
+                W, diag = solve(*prefix_problem(r, N), config)
+                diag = replace(diag, empirical_risk=risk_from_r(r, W, data.n))
+        except _NUMERIC_FAILURES as exc:
+            if failed is None:
+                raise
+            failed[N] = str(exc)
+            continue
+        solved[N] = (W, diag, (time.perf_counter() - t0) * 1e3)
+    return solved
 
 
 def empirical_risk(net: RandomFeatureNet, data: Dataset) -> float:

@@ -6,8 +6,18 @@ import numpy as np
 import pytest
 
 from kolmo_rfn.cli import main
-from kolmo_rfn.data import load_dataset
-from kolmo_rfn.network import load_model
+from kolmo_rfn.data import Dataset, load_dataset, save_dataset
+from kolmo_rfn.network import (
+    HiddenWeights,
+    RandomFeatureNet,
+    WeightDistributionSpec,
+    design_matrix,
+    load_model,
+    predict,
+    sample_hidden_weights,
+    save_model,
+)
+from kolmo_rfn.train import fit_constrained, fit_ols
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -122,6 +132,81 @@ class TestDataAndTrainingFlow:
         out = tmp_path / "b.csv"
         assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
         assert out.exists()
+
+
+def _streamed_train_cases():
+    """(n, d, hidden layer) designs for the streamed CLI fit."""
+
+    spec = WeightDistributionSpec()
+    cases = [
+        pytest.param(7, 2, sample_hidden_weights(spec, 20, 2, 1), id="n_below_N"),
+        pytest.param(4097, 2, sample_hidden_weights(spec, 30, 2, 2), id="n4097"),
+        pytest.param(9000, 3, sample_hidden_weights(spec, 25, 3, 3), id="n9000"),
+    ]
+    h = sample_hidden_weights(spec, 12, 2, 4)
+    A, B = h.A.copy(), h.B.copy()
+    A[[2, 7]], B[[2, 7]] = 0.0, -1.0  # relu(-1) = 0 on every point
+    cases.append(pytest.param(500, 2, HiddenWeights(A, B, spec, 4, 12, 2), id="dead_features"))
+    h = sample_hidden_weights(spec, 8, 2, 5)
+    A, B = np.vstack([h.A, h.A]), np.concatenate([h.B, h.B])  # every feature twice: rank 8 of 16
+    cases.append(pytest.param(600, 2, HiddenWeights(A, B, spec, 5, 16, 2), id="duplicated_rows"))
+    return cases
+
+
+class TestStreamedTrain:
+    """CLI train solves from the folded R; the fit on the whole design is the oracle."""
+
+    @pytest.mark.parametrize("n,d,hidden", _streamed_train_cases())
+    def test_matches_fit_on_the_design(self, tmp_path, capsys, n, d, hidden):
+        rng = np.random.default_rng(n)
+        X = rng.uniform(-1, 1, (n, d))
+        ds = Dataset(X=X, Y=np.sin(X.sum(axis=1)) + 0.1 * rng.standard_normal(n),
+                     label_kind="single_draw", seed=0, M=1.0, T=1.0)
+        data, hidden_path = tmp_path / "d.csv", tmp_path / "h.json"
+        save_dataset(ds, data)
+        save_model(RandomFeatureNet(hidden=hidden, W=np.zeros(hidden.N)), hidden_path)
+        ds = load_dataset(data)
+        design = design_matrix(hidden, ds.X).values
+        W_ols, ref = fit_ols(design, ds.Y)
+        free_norm = float(np.linalg.norm(W_ols))
+        runs = [(["--method", "ols"], W_ols, ref)]
+        for lam in (2.0 * free_norm, 0.3 * free_norm):  # constraint inactive, then active
+            runs.append((["--method", "constrained", "--lambda", repr(lam)],
+                         *fit_constrained(design, ds.Y, lam)))
+        risk_floor = 1e-20 * float(ds.Y @ ds.Y) / n  # an interpolating fit's risk is rounding
+        for flags, W_ref, ref in runs:
+            model = tmp_path / "m.json"
+            capsys.readouterr()
+            assert main(["train", "--data", str(data), "--hidden", str(hidden_path),
+                         *flags, "--out", str(model)]) == 0
+            diag = json.loads(capsys.readouterr().out)
+            want = design @ W_ref
+            got = predict(load_model(model), ds.X)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), flags
+            assert diag["empirical_risk"] == pytest.approx(ref.empirical_risk, rel=1e-10, abs=risk_floor)
+            assert diag["effective_rank"] == ref.effective_rank
+            if ref.lambda_multiplier is not None:
+                assert (diag["lambda_multiplier"] > 0) == (ref.lambda_multiplier > 0), flags
+                assert diag["lambda_multiplier"] == pytest.approx(ref.lambda_multiplier, rel=1e-8)
+            capsys.readouterr()
+            assert main(["evaluate", "--model", str(model), "--data", str(data)]) == 0
+            risk = json.loads(capsys.readouterr().out)["empirical_risk"]
+            assert risk == pytest.approx(ref.empirical_risk, rel=1e-10, abs=risk_floor)
+
+    @pytest.mark.parametrize("flags", [
+        ["--method", "ols"],
+        ["--method", "constrained", "--lambda", "1"],
+        ["--method", "sgd", "--lambda", "1", "--eta0", "0.1", "--steps", "3"],
+    ], ids=["ols", "constrained", "sgd"])
+    def test_header_only_csv_exits_1(self, tmp_path, capsys, flags):
+        data = tmp_path / "empty.csv"
+        save_dataset(Dataset(X=np.empty((0, 2)), Y=np.empty(0), label_kind="single_draw",
+                             seed=0, M=1.0, T=1.0), data)
+        assert main(["train", "--data", str(data), "--N", "5", *flags,
+                     "--out", str(tmp_path / "m.json")]) == 1
+        err = capsys.readouterr().err
+        assert "cannot fit on empty data" in err and "Traceback" not in err
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestValidationExits:
@@ -381,7 +466,8 @@ class TestExperimentCommand:
         doc["train"] = {"method": "sgd", "lambda": 10.0, "eta0": 0.1, "steps": 10, "batch": 5000}
         cfg = tmp_path / "sgd_rate_cfg.json"
         cfg.write_text(json.dumps(doc))
-        assert main(["experiment", "rate-curve", "--config", str(cfg)]) == 0
+        # exit 3: the experiment ran and wrote its report, but widths failed
+        assert main(["experiment", "rate-curve", "--config", str(cfg)]) == 3
         out, err = capsys.readouterr()
         assert json.loads(out)["errors"] == 2
         lines = err.splitlines()

@@ -308,7 +308,8 @@ class TestRoundTrip:
         assert back.paths == ds.paths and back.noise_std == ds.noise_std
         assert back.label_se is None
 
-    @pytest.mark.parametrize("d,n", [(1, 1), (5, 1), (1, 0), (5, 0), (1, 7), (5, 7)])
+    # the last two span several 4 096-row write blocks
+    @pytest.mark.parametrize("d,n", [(1, 1), (5, 1), (1, 0), (5, 0), (1, 7), (5, 7), (2, 4096), (3, 9001)])
     def test_csv_bytes_match_savetxt(self, tmp_path, d, n):
         specials = [-0.0, 1e-300, 1e300, 3.0, -2.0, 0.1, -1e-300, 1 / 3]
         values = np.resize(specials, n * (d + 1)).reshape(n, d + 1)

@@ -7,7 +7,6 @@ import pytest
 
 from kolmo_rfn.data import Dataset, LognormalSpec, gen_pde_dataset
 from kolmo_rfn.experiments import (
-    _ROW_BLOCK,
     ExperimentSpec,
     fit_log_slope,
     lognormal_from_dict,
@@ -30,6 +29,7 @@ from kolmo_rfn.levy import (
     tent,
 )
 from kolmo_rfn.network import (
+    ROW_BLOCK,
     RandomFeatureNet,
     WeightDistributionSpec,
     design_matrix,
@@ -331,8 +331,8 @@ class TestRateCurve:
     def test_rows_match_the_materialized_design(self, independent, cap):
         # several row blocks on both sides; the cap clips most predictions
         spec = small_rate_spec(train=(TrainConfig(method="ols", cap=cap),), independent_hidden=independent)
-        train = gen_pde_dataset(spec.model, spec.payoff, spec.M, spec.T, _ROW_BLOCK + 904, seed=1)
-        test = gen_pde_dataset(spec.model, spec.payoff, spec.M, spec.T, _ROW_BLOCK + 1, seed=2)
+        train = gen_pde_dataset(spec.model, spec.payoff, spec.M, spec.T, ROW_BLOCK + 904, seed=1)
+        test = gen_pde_dataset(spec.model, spec.payoff, spec.M, spec.T, ROW_BLOCK + 1, seed=2)
         rep = run_rate_curve(spec, datasets=(train, test))
         hidden_seed = derive_seed(spec.master_seed, 3)
         for N, e_hat, risk, _ in rep.rows:
@@ -373,7 +373,7 @@ class TestRateCurve:
     @pytest.mark.parametrize("independent", [False, True])
     def test_failed_fold_fails_every_width_it_serves(self, independent):
         spec = small_rate_spec(independent_hidden=independent)
-        train = gen_pde_dataset(spec.model, spec.payoff, spec.M, spec.T, _ROW_BLOCK + 10, seed=1)
+        train = gen_pde_dataset(spec.model, spec.payoff, spec.M, spec.T, ROW_BLOCK + 10, seed=1)
         bad_y = train.Y.copy()
         bad_y[-1] = math.inf  # in the second row block
         train = Dataset(X=train.X, Y=bad_y, label_kind="single_draw", seed=1, M=spec.M, T=spec.T)

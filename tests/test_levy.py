@@ -241,6 +241,16 @@ class TestSimulation:
         want = trip.gamma * T + math.sqrt(T) * z @ sqrt_sigma(sigma).T + jump_sum - compensator
         assert np.allclose(got, want, rtol=0, atol=1e-12)
 
+    def test_gaussian_increments_have_the_bits_of_the_formula(self):
+        # the sampler scales and shifts in place; + and * commute in IEEE
+        # arithmetic, so this must equal gamma T + sqrt(T) (z @ root') exactly
+        sigma = equal_correlation_sigma(0.2, 0.3, 3)
+        trip = LevyTriplet(sigma=sigma, gamma=risk_neutral_gamma(sigma))
+        T, n = 0.8, 500
+        got = simulate_levy_increment(trip, T, substream(3, 9), size=n)
+        z = substream(3, 9).standard_normal((n, 3))
+        assert np.array_equal(got, trip.gamma * T + math.sqrt(T) * (z @ sqrt_sigma(sigma).T))
+
     def test_risk_neutral_gamma_frozen_value(self):
         # mpmath: -0.04/2 - 2 * (0.25(e^{0.4}-1-0.4) + 0.75(e^{-0.3}-1+0.3))
         g = risk_neutral_gamma([[0.04]], JUMP_1D)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kolmo_rfn.network import (
+    ROW_BLOCK,
     FeatureMatrix,
     HiddenWeights,
     RandomFeatureNet,
@@ -17,6 +18,7 @@ from kolmo_rfn.network import (
     pi_b,
     pi_w,
     predict,
+    row_blocks,
     sample_hidden_weights,
     save_model,
     subnetwork,
@@ -325,6 +327,37 @@ class TestDesignMatrix:
             for x in X
         ]
         assert np.allclose(predict(net, X), want, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("cap", [None, 0.5])
+    @pytest.mark.parametrize("d", [1, 5])
+    @pytest.mark.parametrize("n", [0, 1, ROW_BLOCK, ROW_BLOCK + 1])
+    def test_blocked_predict_matches_whole_design(self, n, d, cap):
+        h = sample_hidden_weights(SPEC, N=40, d=d, seed=15)
+        rng = np.random.default_rng(n + d)
+        net = RandomFeatureNet(hidden=h, W=rng.standard_normal(40), cap=cap)
+        X = rng.uniform(-1, 1, size=(n, d))
+        want = design_matrix(h, X).values @ net.W
+        if cap is not None:
+            want = np.clip(want, -cap, cap)
+        assert np.array_equal(predict(net, X), want)
+
+    def test_predict_over_several_blocks(self):
+        # past one block the bits follow BLAS's own row split, so this is
+        # a rounding-level contract
+        h = sample_hidden_weights(SPEC, N=50, d=3, seed=16)
+        rng = np.random.default_rng(24)
+        net = RandomFeatureNet(hidden=h, W=rng.standard_normal(50))
+        X = rng.uniform(-1, 1, size=(2 * ROW_BLOCK + 6, 3))
+        want = design_matrix(h, X).values @ net.W
+        assert np.linalg.norm(predict(net, X) - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("n", [0, 1, 5, ROW_BLOCK, ROW_BLOCK + 3, ROW_BLOCK + 4, 3 * ROW_BLOCK + 2])
+    def test_row_blocks_cover_rows_in_order(self, n):
+        blocks = row_blocks(n)
+        assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+        sizes = [len(range(n)[b]) for b in blocks]
+        assert all(size % 4 == 0 for size in sizes[:-1])
+        assert len(sizes) <= 1 or sizes[-1] >= 4  # a short remainder joins its neighbour
 
     def test_feature_matrix_shape_validated(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from kolmo_rfn.data import Dataset
-from kolmo_rfn.experiments import _ROW_BLOCK
 from kolmo_rfn.network import (
+    ROW_BLOCK,
     RandomFeatureNet,
     WeightDistributionSpec,
     design_matrix,
@@ -19,6 +19,7 @@ from kolmo_rfn.train import (
     fit_constrained,
     fit_ols,
     fit_sgd,
+    fit_widths,
     fold_rows,
     prefix_problem,
     project_ball,
@@ -328,16 +329,16 @@ class TestConstrainedAgainstFullSvd:
 def _streamed_cases():
     rng = np.random.default_rng(21)
     cases = []
-    for n in (1, 300, _ROW_BLOCK, 2 * _ROW_BLOCK + 123):  # one row, part, one, several blocks
+    for n in (1, 300, ROW_BLOCK, 2 * ROW_BLOCK + 123):  # one row, part, one, several blocks
         cases.append(pytest.param(*random_instance(rng, n, 12), id=f"random_{n}x12"))
     for n, N, rank in [(7, 20, None), (12, 12, None), (300, 12, 5), (9, 30, 4)]:
         X, y = random_instance(rng, n, N, rank)
         cases.append(pytest.param(X, y, id=f"{n}x{N}" + (f"_rank{rank}" if rank else "")))
-    X, y = random_instance(rng, _ROW_BLOCK + 1, 10)
+    X, y = random_instance(rng, ROW_BLOCK + 1, 10)
     X[:, [0, 4, 9]] = 0.0
     cases.append(pytest.param(X, y, id="dead_columns"))
     hidden = sample_hidden_weights(WeightDistributionSpec(), N=60, d=2, seed=3)
-    Z = np.random.default_rng(12).uniform(-1, 1, (_ROW_BLOCK + 500, 2))
+    Z = np.random.default_rng(12).uniform(-1, 1, (ROW_BLOCK + 500, 2))
     cases.append(pytest.param(design_matrix(hidden, Z).values, Z[:, 0] ** 2 + Z[:, 1], id="relu_design"))
     cases.append(pytest.param(np.zeros((6, 4)), rng.standard_normal(6), id="zero_design"))
     return cases
@@ -345,8 +346,8 @@ def _streamed_cases():
 
 def fold_in_blocks(X, y):
     r = None
-    for i in range(0, X.shape[0], _ROW_BLOCK):
-        r = fold_rows(r, X[i:i + _ROW_BLOCK], y[i:i + _ROW_BLOCK])
+    for i in range(0, X.shape[0], ROW_BLOCK):
+        r = fold_rows(r, X[i:i + ROW_BLOCK], y[i:i + ROW_BLOCK])
     return r
 
 
@@ -387,6 +388,45 @@ class TestStreamedAgainstDesign:
                 assert mult == pytest.approx(ref.lambda_multiplier, rel=1e-10)
                 assert risk == pytest.approx(ref.empirical_risk, rel=1e-10, abs=risk_floor)
                 assert np.linalg.norm(W - W_ref) <= 1e-10 * max(np.linalg.norm(W_ref), 1e-300), (N, lam)
+
+    @pytest.mark.parametrize("n0,n1,N", [(50, 30, 8), (3, 2, 6), (1, 1, 1), (ROW_BLOCK, 700, 40)])
+    def test_fold_has_the_bits_of_the_stacked_qr(self, n0, n1, N):
+        rng = np.random.default_rng(n0 + n1 + N)
+        X0, y0 = random_instance(rng, n0, N)
+        X1, y1 = random_instance(rng, n1, N)
+        r = fold_rows(None, X0, y0)
+        assert np.array_equal(r, np.linalg.qr(np.column_stack([X0, y0]), mode="r"))
+        stacked = np.linalg.qr(np.vstack([r, np.column_stack([X1, y1])]), mode="r")
+        assert np.array_equal(fold_rows(r, X1, y1), stacked)
+
+    def test_fit_widths_solves_each_width_from_the_fold(self):
+        hidden = sample_hidden_weights(WeightDistributionSpec(), N=30, d=2, seed=4)
+        X = np.random.default_rng(13).uniform(-1, 1, (ROW_BLOCK + 77, 2))
+        data = make_dataset(X, np.sin(X[:, 0]) + X[:, 1])
+        r = fold_in_blocks(design_matrix(hidden, X).values, data.Y)
+        for cfg in (TrainConfig(method="ols"), TrainConfig(method="constrained", lam=0.5)):
+            solved = fit_widths(hidden, (5, 30), data, cfg)
+            assert list(solved) == [5, 30]
+            for N, (W, diag, ms) in solved.items():
+                W_ref, rank, mult, risk = fit_from_r(r, N, data.n, cfg)
+                assert np.array_equal(W, W_ref) and diag.empirical_risk == risk
+                assert diag.effective_rank == rank and diag.lambda_multiplier == mult
+                assert ms >= 0
+
+    def test_fit_widths_records_or_raises_a_failed_width(self):
+        hidden = sample_hidden_weights(WeightDistributionSpec(), N=6, d=1, seed=4)
+        data = make_dataset(np.linspace(-1, 1, 20)[:, None], np.linspace(0, 1, 20))
+        cfg = TrainConfig(method="sgd", lam=5.0, eta0=0.1, steps=3, batch=50)
+        failed = {}
+        assert fit_widths(hidden, (3, 6), data, cfg, failed) == {}
+        assert sorted(failed) == [3, 6] and "exceeds the 20 available" in failed[6]
+        with pytest.raises(ValueError, match="exceeds the 20 available"):
+            fit_widths(hidden, (6,), data, cfg)
+        empty = make_dataset(np.empty((0, 1)), np.empty(0))
+        with pytest.raises(ValueError, match="cannot fit on empty data"):
+            fit_widths(hidden, (6,), empty, TrainConfig(method="ols"), {})  # the fold itself fails
+        with pytest.raises(ValueError, match="cannot fit on empty data"):
+            fit_widths(hidden, (6,), empty, cfg)
 
     def test_fold_checks_every_block(self):
         r = fold_rows(None, np.ones((3, 2)), np.ones(3))
