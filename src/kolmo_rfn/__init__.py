@@ -24,9 +24,7 @@ from .levy import (
     equal_correlation_sigma,
     levy_symbol,
     payoff_eval,
-    payoff_from_dict,
     payoff_log_eval,
-    payoff_to_dict,
     price_mc,
     risk_neutral_gamma,
     simulate_levy_increment,
@@ -60,9 +58,9 @@ from .fourier import (
     reference_convolution,
     sup_error_on_grid,
 )
+from .config import ExperimentSpec, payoff_from_dict, payoff_to_dict
 from .experiments import (
     ExperimentReport,
-    ExperimentSpec,
     fit_log_slope,
     run_basket_put,
     run_experiment,

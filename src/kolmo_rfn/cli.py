@@ -15,20 +15,13 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .data import gen_basket_put_dataset, gen_pde_dataset, load_dataset, save_dataset
-from .experiments import (
-    EXPERIMENT_KINDS,
-    ExperimentSpec,
-    lognormal_from_dict,
-    run_experiment,
-    triplet_from_dict,
-)
-from .levy import payoff_from_dict
+from .config import EXPERIMENT_KINDS, ExperimentSpec, dataset_from_dict
+from .data import load_dataset, save_dataset
+from .experiments import run_experiment
 from .network import (
     RandomFeatureNet,
     WeightDistributionSpec,
@@ -74,13 +67,6 @@ def _config_fields(path):
         raise ValueError(f"config {path}: {exc}") from exc
 
 
-_COMMON_DATA_KEYS = {"kind", "model", "M", "n", "paths", "noise_std", "seed", "output"}
-_DATA_KEYS = {
-    "pde": _COMMON_DATA_KEYS | {"payoff", "T", "label_kind"},
-    "basket_put": _COMMON_DATA_KEYS | {"weights"},
-}
-
-
 def _weight_spec(args) -> WeightDistributionSpec:
     return WeightDistributionSpec(nu=args.nu, b_dof=args.b_dof)
 
@@ -96,40 +82,12 @@ def _cmd_sample_weights(args) -> int:
 def _cmd_gen_data(args) -> int:
     doc = _load_json(args.config)
     with _config_fields(args.config):
-        seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
         out = args.out or doc.get("output")
         if out is None:
             raise ValueError("no output path: pass --out or set \"output\" in the config")
-        kind = doc.get("kind", "pde")
-        if kind not in _DATA_KEYS:
-            raise ValueError(f"unknown data kind {kind!r} (expected 'pde' or 'basket_put')")
-        unknown = sorted(set(doc) - _DATA_KEYS[kind])
-        if unknown:
-            raise ValueError(f"unknown keys {unknown} for data kind {kind!r}")
-        if kind == "basket_put":
-            sampler = lognormal_from_dict(doc["model"])
-            weights = doc.get("weights")
-            weights = (
-                np.asarray(weights, dtype=float)
-                if weights is not None
-                else np.full(sampler.m, 1.0 / sampler.m)
-            )
-            make = partial(
-                gen_basket_put_dataset, sampler, weights, float(doc.get("M", 1.0)), int(doc["n"]),
-                noise_std=float(doc.get("noise_std", 0.0)), seed=seed,
-                paths=int(doc.get("paths", 100)),
-            )
-        else:
-            make = partial(
-                gen_pde_dataset, triplet_from_dict(doc["model"]), payoff_from_dict(doc["payoff"]),
-                float(doc.get("M", 1.0)), float(doc.get("T", 1.0)),
-                int(doc["n"]), label_kind=doc.get("label_kind", "single_draw"),
-                seed=seed, paths=int(doc.get("paths", 1000)),
-                noise_std=float(doc.get("noise_std", 0.0)),
-            )
-    ds = make()
+        ds = dataset_from_dict(doc, args.seed)
     save_dataset(ds, out)
-    print(f"wrote {ds.n} rows (d={ds.d}, labels={ds.label_kind}, seed={seed}) to {out}")
+    print(f"wrote {ds.n} rows (d={ds.d}, labels={ds.label_kind}, seed={ds.seed}) to {out}")
     return 0
 
 
@@ -178,19 +136,16 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     doc = _load_json(args.config)
-    kind = args.kind.replace("-", "_")
-    config_kind = str(doc.get("kind", kind)).replace("-", "_")
-    if config_kind != kind:
-        raise ValueError(
-            f"config declares kind {config_kind!r} but the command line asked for {kind!r}"
-        )
-    doc["kind"] = kind
+    doc.setdefault("kind", args.kind)
     if args.seed is not None:
         doc["master_seed"] = args.seed
     if args.out is not None:
         doc["output"] = args.out
     with _config_fields(args.config):
         spec = ExperimentSpec.from_dict(doc)
+    kind = args.kind.replace("-", "_")
+    if spec.kind != kind:
+        raise ValueError(f"config declares kind {spec.kind!r} but the command line asked for {kind!r}")
     report = run_experiment(spec)
     summary = {
         "kind": report.kind,

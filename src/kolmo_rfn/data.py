@@ -49,6 +49,7 @@ __all__ = [
     "Dataset",
     "LognormalSpec",
     "sample_lognormal",
+    "basket_weights",
     "gen_pde_dataset",
     "gen_basket_put_dataset",
     "save_dataset",
@@ -245,6 +246,19 @@ def gen_pde_dataset(
     return Dataset(X=X, Y=Y, label_kind=label_kind, seed=seed, M=M, T=T, **kwargs)
 
 
+def basket_weights(sampler: LognormalSpec, weights=None) -> np.ndarray:
+    """The checked weight vector of a basket of ``sampler``'s assets; None means equal weights."""
+
+    if weights is None:
+        return np.full(sampler.m, 1.0 / sampler.m)
+    w = np.atleast_1d(np.asarray(weights, dtype=float))
+    if w.shape != (sampler.m,):
+        raise ValueError(f"weights shape {w.shape} does not match {sampler.m} assets")
+    if (w < 0).any():
+        raise ValueError("basket weights must be nonnegative")
+    return w
+
+
 def gen_basket_put_dataset(
     sampler: LognormalSpec,
     weights,
@@ -256,9 +270,9 @@ def gen_basket_put_dataset(
 ) -> Dataset:
     """Strikes uniform on [0, M]; labels are MC put prices plus noise.
 
-    Row i's Monte Carlo paths come from the substream (seed, row) so
-    rows are independent and the dataset is reproducible regardless of
-    generation order.
+    ``weights`` None means equal weights. Row i's Monte Carlo paths come
+    from the substream (seed, row) so rows are independent and the
+    dataset is reproducible regardless of generation order.
     """
 
     if n < 1:
@@ -269,11 +283,7 @@ def gen_basket_put_dataset(
         raise ValueError("noise_std must be nonnegative")
     if paths < 1:
         raise ValueError("paths must be at least 1")
-    w = np.atleast_1d(np.asarray(weights, dtype=float))
-    if w.shape != (sampler.m,):
-        raise ValueError(f"weights shape {w.shape} does not match {sampler.m} assets")
-    if (w < 0).any():
-        raise ValueError("basket weights must be nonnegative")
+    w = basket_weights(sampler, weights)
 
     K = substream(seed, _X_STREAM).uniform(0.0, M, size=n)
     root = sqrt_sigma(sampler.cov) if sampler.T > 0 else None

@@ -1,16 +1,15 @@
 """Experiment runner: rate curves, basket puts, oracle convergence, SGD vs OLS.
 
-Each experiment is declared by an ExperimentSpec (JSON-friendly), runs
-deterministically from its master seed, and produces an ExperimentReport
-that can be written as a CSV of rows plus a JSON summary. Seeds for
-data generation, hidden-weight sampling, and SGD are derived from the
-master seed through independent substreams, so changing one leg (say,
-the size of the test set) never perturbs another.
+Each experiment is declared by an ExperimentSpec (``kolmo_rfn.config``),
+runs deterministically from its master seed, and produces an
+ExperimentReport that can be written as a CSV of rows plus a JSON
+summary. Seeds for data generation, hidden-weight sampling, and SGD are
+derived from the master seed through independent substreams, so
+changing one leg (say, the size of the test set) never perturbs another.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import time
@@ -19,42 +18,26 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (
-    Dataset,
-    LognormalSpec,
-    gen_basket_put_dataset,
-    gen_pde_dataset,
-)
+from .config import ExperimentSpec
+from .data import Dataset, LognormalSpec, basket_weights, gen_basket_put_dataset, gen_pde_dataset
 from .fourier import (
     construct_oracle_weights,
     gaussian_profile,
     reference_convolution,
     sup_error_on_grid,
 )
-from .levy import (
-    CompoundPoissonSpec,
-    LevyTriplet,
-    Payoff,
-    bs_put_price,
-    equal_correlation_sigma,
-    payoff_from_dict,
-    payoff_to_dict,
-    risk_neutral_gamma,
-)
+from .levy import LevyTriplet, bs_put_price
 from .network import (
     RandomFeatureNet,
-    WeightDistributionSpec,
     design_matrix,
     row_blocks,
     sample_hidden_weights,
     subnetwork,
 )
 from .rng import derive_seed
-from .train import _NUMERIC_FAILURES, TrainConfig, fit, fit_ols, fit_sgd, fit_widths
+from .train import _NUMERIC_FAILURES, fit, fit_ols, fit_sgd, fit_widths
 
 __all__ = [
-    "EXPERIMENT_KINDS",
-    "ExperimentSpec",
     "ExperimentReport",
     "fit_log_slope",
     "run_rate_curve",
@@ -63,21 +46,7 @@ __all__ = [
     "run_sgd_vs_ols",
     "run_experiment",
     "write_report",
-    "triplet_from_dict",
-    "triplet_to_dict",
-    "lognormal_from_dict",
-    "lognormal_to_dict",
 ]
-
-EXPERIMENT_KINDS = ("rate_curve", "basket_put", "oracle_convergence", "sgd_vs_ols")
-
-# the keys ExperimentSpec.to_dict writes; from_dict rejects any other
-_SPEC_KEYS = frozenset({
-    "kind", "model", "payoff", "M", "T", "n_train", "n_test", "N_list", "train",
-    "master_seed", "output", "label_kind", "paths", "noise_std", "test_label_kind",
-    "test_paths", "weights", "independent_hidden", "basket_weights", "C",
-    "oracle_seeds", "sgd_seeds", "grid_points", "checkpoints",
-})
 
 # substream ids under the master seed
 _TRAIN_DATA = 1
@@ -85,258 +54,6 @@ _TEST_DATA = 2
 _HIDDEN = 3
 _SGD = 4
 _ORACLE = 10
-
-
-# ---------------------------------------------------------------------------
-# model (de)serialization for configs
-
-# the keys each model block may carry, by its "type"
-_MODEL_KEYS = {
-    "equal_correlation": {"type", "sigma", "rho", "d", "gamma", "jumps"},
-    "triplet": {"type", "sigma", "gamma", "jumps"},
-    "lognormal": {"type", "s0", "cov", "T"},
-}
-
-
-def _reject_unknown(doc: dict, allowed, block: str) -> None:
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown keys {unknown} in {block}")
-
-
-def _jumps_from_dict(doc: dict | None) -> CompoundPoissonSpec | None:
-    if doc is None:
-        return None
-    _reject_unknown(doc, {"intensity", "atoms", "radius"}, "jumps")
-    atoms = tuple((float(p), y) for p, y in doc["atoms"])
-    return CompoundPoissonSpec(
-        intensity=float(doc["intensity"]), atoms=atoms, radius=float(doc.get("radius", 1.5))
-    )
-
-
-def _jumps_to_dict(jumps: CompoundPoissonSpec | None) -> dict | None:
-    if jumps is None:
-        return None
-    probs, ys = jumps.arrays()
-    return {
-        "intensity": jumps.intensity,
-        "atoms": [[float(p), y.tolist()] for p, y in zip(probs, ys)],
-        "radius": jumps.radius,
-    }
-
-
-def triplet_from_dict(doc: dict) -> LevyTriplet:
-    """Build the process from a config dict.
-
-    Two forms: {"type": "equal_correlation", "sigma": 0.2, "rho": 0.2,
-    "d": 5, ...} or {"type": "triplet", "sigma": [[...]], ...}. "gamma"
-    is either an explicit vector or the string "risk_neutral" (default).
-    """
-
-    kind = doc.get("type", "triplet")
-    if kind not in ("equal_correlation", "triplet"):
-        raise ValueError(f"unknown model type {kind!r}")
-    _reject_unknown(doc, _MODEL_KEYS[kind], f"{kind} model")
-    jumps = _jumps_from_dict(doc.get("jumps"))
-    if kind == "equal_correlation":
-        sigma = equal_correlation_sigma(float(doc["sigma"]), float(doc["rho"]), int(doc["d"]))
-    else:
-        sigma = np.asarray(doc["sigma"], dtype=float)
-    gamma = doc.get("gamma", "risk_neutral")
-    if isinstance(gamma, str):
-        if gamma != "risk_neutral":
-            raise ValueError(f"unknown drift rule {gamma!r}")
-        gamma = risk_neutral_gamma(sigma, jumps)
-    return LevyTriplet(sigma=sigma, gamma=gamma, jumps=jumps)
-
-
-def triplet_to_dict(triplet: LevyTriplet) -> dict:
-    return {
-        "type": "triplet",
-        "sigma": triplet.sigma.tolist(),
-        "gamma": triplet.gamma.tolist(),
-        "jumps": _jumps_to_dict(triplet.jumps),
-    }
-
-
-def lognormal_from_dict(doc: dict) -> LognormalSpec:
-    if doc.get("type") != "lognormal":
-        raise ValueError(f"model type {doc.get('type')!r} is not 'lognormal'")
-    _reject_unknown(doc, _MODEL_KEYS["lognormal"], "lognormal model")
-    cov = doc["cov"]
-    if isinstance(cov, dict):
-        _reject_unknown(cov, {"sigma", "rho", "d"}, "lognormal cov")
-        cov = equal_correlation_sigma(float(cov["sigma"]), float(cov["rho"]), int(cov["d"]))
-    return LognormalSpec(
-        s0=np.asarray(doc["s0"], dtype=float),
-        cov=np.asarray(cov, dtype=float),
-        T=float(doc.get("T", 1.0)),
-    )
-
-
-def lognormal_to_dict(spec: LognormalSpec) -> dict:
-    return {
-        "type": "lognormal",
-        "s0": spec.s0.tolist(),
-        "cov": spec.cov.tolist(),
-        "T": spec.T,
-    }
-
-
-def _model_from_dict(doc: dict):
-    if doc.get("type") == "lognormal":
-        return lognormal_from_dict(doc)
-    return triplet_from_dict(doc)
-
-
-def _model_to_dict(model) -> dict | None:
-    if model is None:
-        return None
-    if isinstance(model, LognormalSpec):
-        return lognormal_to_dict(model)
-    return triplet_to_dict(model)
-
-
-# ---------------------------------------------------------------------------
-# the experiment declaration
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Everything an experiment run needs, JSON-serializable.
-
-    ``train`` normalizes to a tuple of TrainConfig; rate curves and
-    SGD studies use exactly one, the basket study accepts several and
-    reports each on the same data. ``independent_hidden`` switches the
-    per-N networks from nested (prefixes of one stream) to independent
-    draws.
-    """
-
-    kind: str
-    model: LevyTriplet | LognormalSpec | None = None
-    payoff: Payoff | None = None
-    M: float = 1.0
-    T: float = 1.0
-    n_train: int = 1
-    n_test: int = 1
-    N_list: tuple[int, ...] = (10,)
-    train: tuple[TrainConfig, ...] = (TrainConfig(method="ols"),)
-    master_seed: int = 0
-    output_path: str | None = None
-    label_kind: str = "single_draw"
-    paths: int = 1000
-    noise_std: float = 0.0
-    test_label_kind: str | None = None
-    test_paths: int | None = None
-    weight_spec: WeightDistributionSpec = field(default_factory=WeightDistributionSpec)
-    independent_hidden: bool = False
-    basket_weights: tuple[float, ...] | None = None
-    C: float = 0.15
-    oracle_seeds: int = 20
-    sgd_seeds: int = 1
-    grid_points: int = 101
-    checkpoints: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if isinstance(self.train, TrainConfig):
-            object.__setattr__(self, "train", (self.train,))
-        else:
-            object.__setattr__(self, "train", tuple(self.train))
-        if not self.train:
-            raise ValueError("at least one train config is required")
-        ns = tuple(int(n) for n in self.N_list)
-        if not ns:
-            raise ValueError("N_list must be nonempty")
-        if any(n < 1 for n in ns):
-            raise ValueError("N_list entries must be positive")
-        if any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ValueError("N_list must be strictly increasing")
-        object.__setattr__(self, "N_list", ns)
-        for name in ("n_test", "oracle_seeds", "sgd_seeds"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if self.test_paths is not None and self.test_paths < 1:
-            raise ValueError("test_paths must be at least 1 when set")
-        if not self.M > 0:
-            raise ValueError("M must be positive")
-
-    def to_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "model": _model_to_dict(self.model),
-            "payoff": payoff_to_dict(self.payoff) if self.payoff is not None else None,
-            "M": self.M,
-            "T": self.T,
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "N_list": list(self.N_list),
-            "train": [cfg.to_dict() for cfg in self.train],
-            "master_seed": self.master_seed,
-            "label_kind": self.label_kind,
-            "paths": self.paths,
-            "noise_std": self.noise_std,
-            "test_label_kind": self.test_label_kind,
-            "test_paths": self.test_paths,
-            "weights": {"nu": self.weight_spec.nu, "b_dof": self.weight_spec.b_dof},
-            "independent_hidden": self.independent_hidden,
-            "basket_weights": list(self.basket_weights) if self.basket_weights else None,
-            "C": self.C,
-            "oracle_seeds": self.oracle_seeds,
-            "sgd_seeds": self.sgd_seeds,
-            "grid_points": self.grid_points,
-            "checkpoints": list(self.checkpoints) if self.checkpoints else None,
-        }
-        if self.output_path is not None:
-            out["output"] = self.output_path
-        return out
-
-    @staticmethod
-    def from_dict(doc: dict) -> "ExperimentSpec":
-        _reject_unknown(doc, _SPEC_KEYS, "experiment config")
-        kind = str(doc["kind"]).replace("-", "_")
-        train = doc.get("train", {"method": "ols"})
-        if isinstance(train, dict):
-            train = [train]
-        weights = doc.get("weights", {})
-        _reject_unknown(weights, {"nu", "b_dof"}, "weights")
-        return ExperimentSpec(
-            kind=kind,
-            model=_model_from_dict(doc["model"]) if doc.get("model") else None,
-            payoff=payoff_from_dict(doc["payoff"]) if doc.get("payoff") else None,
-            M=float(doc.get("M", 1.0)),
-            T=float(doc.get("T", 1.0)),
-            n_train=int(doc.get("n_train", 1)),
-            n_test=int(doc.get("n_test", 1)),
-            N_list=tuple(doc.get("N_list", [10])),
-            train=tuple(TrainConfig.from_dict(t) for t in train),
-            master_seed=int(doc.get("master_seed", 0)),
-            output_path=doc.get("output"),
-            label_kind=doc.get("label_kind", "single_draw"),
-            paths=int(doc.get("paths", 1000)),
-            noise_std=float(doc.get("noise_std", 0.0)),
-            test_label_kind=doc.get("test_label_kind"),
-            test_paths=None if doc.get("test_paths") is None else int(doc["test_paths"]),
-            weight_spec=WeightDistributionSpec(
-                nu=float(weights.get("nu", 5.0)), b_dof=float(weights.get("b_dof", 2.0))
-            ),
-            independent_hidden=bool(doc.get("independent_hidden", False)),
-            basket_weights=tuple(doc["basket_weights"]) if doc.get("basket_weights") else None,
-            C=float(doc.get("C", 0.15)),
-            oracle_seeds=int(doc.get("oracle_seeds", 20)),
-            sgd_seeds=int(doc.get("sgd_seeds", 1)),
-            grid_points=int(doc.get("grid_points", 101)),
-            checkpoints=tuple(doc["checkpoints"]) if doc.get("checkpoints") else None,
-        )
-
-    def config_hash(self) -> str:
-        """Hash of the scientific configuration (output path excluded)."""
-
-        echo = self.to_dict()
-        echo.pop("output", None)
-        blob = json.dumps(echo, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -452,11 +169,10 @@ def run_rate_curve(spec: ExperimentSpec, datasets: tuple[Dataset, Dataset] | Non
     """Prediction error against network width on PDE data.
 
     Datasets are generated once from the model and payoff (or supplied
-    by the caller, e.g. for synthetic sanity checks). Nested widths
-    share one hidden layer and one R factor of its train design, folded
-    from row blocks, and every width is solved from that R; with
-    ``independent_hidden`` each width gets its own layer and its own R.
-    Held-out errors come from row blocks of the test design as well, so
+    by the caller, e.g. for synthetic sanity checks). The widths are
+    prefixes of one hidden layer and share one R factor of its train
+    design, folded from row blocks, and every width is solved from that
+    R. Held-out errors come from row blocks of the test design as well, so
     neither design is ever built whole (SGD alone needs the train rows).
     Rows with failed fits keep their slot with a NaN error so the report
     stays one-row-per-N.
@@ -477,24 +193,19 @@ def run_rate_curve(spec: ExperimentSpec, datasets: tuple[Dataset, Dataset] | Non
         )
     else:
         train_ds, test_ds = datasets
-    hidden_seed = derive_seed(spec.master_seed, _HIDDEN)
-    if spec.independent_hidden:
-        layers = [((N,), derive_seed(hidden_seed, N)) for N in spec.N_list]
-    else:
-        layers = [(spec.N_list, hidden_seed)]
-
+    hidden = sample_hidden_weights(
+        spec.weight_spec, spec.N_list[-1], train_ds.d, derive_seed(spec.master_seed, _HIDDEN)
+    )
     fits: dict[int, tuple] = {}
     failed: dict[int, str] = {}
-    for widths, seed in layers:
-        try:
-            hidden = sample_hidden_weights(spec.weight_spec, widths[-1], train_ds.d, seed)
-            # this module's fit, so wrapping experiments.fit wraps every width's solve
-            solved = fit_widths(hidden, widths, train_ds, cfg, failed, solve=fit)
-            for N, e_hat in _held_out_rmse(hidden, solved, test_ds, cfg.cap).items():
-                fits[N] = (e_hat, *solved[N][1:])
-        except _NUMERIC_FAILURES as exc:  # the layer's R or held-out pass failed: all its widths did
-            for N in widths:
-                failed.setdefault(N, str(exc))
+    try:
+        # this module's fit, so wrapping experiments.fit wraps every width's solve
+        solved = fit_widths(hidden, spec.N_list, train_ds, cfg, failed, solve=fit)
+        for N, e_hat in _held_out_rmse(hidden, solved, test_ds, cfg.cap).items():
+            fits[N] = (e_hat, *solved[N][1:])
+    except _NUMERIC_FAILURES as exc:  # the R or the held-out pass failed: every width did
+        for N in spec.N_list:
+            failed.setdefault(N, str(exc))
 
     rows = []
     ranks = {}
@@ -556,20 +267,13 @@ def run_basket_put(spec: ExperimentSpec) -> ExperimentReport:
     if not isinstance(spec.model, LognormalSpec):
         raise ValueError("basket_put needs a lognormal terminal-price model")
     sampler = spec.model
-    weights = (
-        np.asarray(spec.basket_weights, dtype=float)
-        if spec.basket_weights is not None
-        else np.full(sampler.m, 1.0 / sampler.m)
-    )
-    train_ds = gen_basket_put_dataset(
-        sampler, weights, spec.M, spec.n_train,
-        noise_std=spec.noise_std, seed=derive_seed(spec.master_seed, _TRAIN_DATA),
-        paths=spec.paths,
-    )
-    test_ds = gen_basket_put_dataset(
-        sampler, weights, spec.M, spec.n_test,
-        noise_std=spec.noise_std, seed=derive_seed(spec.master_seed, _TEST_DATA),
-        paths=spec.paths,
+    weights = basket_weights(sampler, spec.basket_weights)
+    train_ds, test_ds = (
+        gen_basket_put_dataset(
+            sampler, weights, spec.M, n, noise_std=spec.noise_std,
+            seed=derive_seed(spec.master_seed, stream), paths=spec.paths,
+        )
+        for n, stream in ((spec.n_train, _TRAIN_DATA), (spec.n_test, _TEST_DATA))
     )
     n_max = spec.N_list[-1]
     hidden_full = sample_hidden_weights(

@@ -12,7 +12,6 @@ Black-Scholes call/put used as a reference curve.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -32,10 +31,9 @@ __all__ = [
     "indicator",
     "table",
     "truncated",
+    "PAYOFFS",
     "payoff_eval",
     "payoff_log_eval",
-    "payoff_to_dict",
-    "payoff_from_dict",
     "equal_correlation_sigma",
     "risk_neutral_gamma",
     "levy_symbol",
@@ -68,7 +66,7 @@ class CompoundPoissonSpec:
 
     intensity: float
     atoms: tuple
-    radius: float
+    radius: float = 1.5
 
     def __post_init__(self) -> None:
         if not self.intensity >= 0.0:
@@ -441,6 +439,10 @@ def truncated(inner: Payoff, bound: float) -> Payoff:
     )
 
 
+# every payoff constructor, by the kind it makes
+PAYOFFS = {make.__name__: make for make in (max_call, basket_put, tent, indicator, table, truncated)}
+
+
 def payoff_log_eval(payoff: Payoff, x) -> np.ndarray | float:
     """Payoff at log-coordinates x (one point, or points along the last axis)."""
 
@@ -474,35 +476,6 @@ def payoff_eval(payoff: Payoff, s) -> np.ndarray | float:
         raise ValueError("asset values must be finite and nonnegative")
     vals = payoff.fn(pts)
     return float(vals[0]) if single else vals
-
-
-def payoff_to_dict(payoff: Payoff) -> dict:
-    params = {}
-    for key, val in payoff.params.items():
-        if isinstance(val, Payoff):
-            params[key] = payoff_to_dict(val)
-        elif isinstance(val, np.ndarray):
-            params[key] = val.tolist()
-        else:
-            params[key] = val
-    return {"kind": payoff.kind, "params": params}
-
-
-_CONSTRUCTORS = {make.__name__: make for make in (max_call, basket_put, tent, indicator, table, truncated)}
-
-
-def payoff_from_dict(doc: dict) -> Payoff:
-    kind = doc["kind"]
-    params = dict(doc["params"])
-    make = _CONSTRUCTORS.get(kind)
-    if make is None:
-        raise ValueError(f"unknown payoff kind {kind!r}")
-    unknown = sorted(set(params) - set(inspect.signature(make).parameters))
-    if unknown:
-        raise ValueError(f"unknown params {unknown} for payoff kind {kind!r}")
-    if kind == "truncated":
-        params["inner"] = payoff_from_dict(params["inner"])
-    return make(**params)
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,6 @@ METHODS = ("ols", "constrained", "sgd")
 # what a fit may raise without aborting the other widths of a curve
 _NUMERIC_FAILURES = (np.linalg.LinAlgError, ArithmeticError, ValueError)
 
-# the keys TrainConfig.to_dict writes; from_dict rejects any other
-_CONFIG_KEYS = frozenset({"method", "seed", "lambda", "eta0", "batch", "steps", "cap", "average"})
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -104,38 +101,6 @@ class TrainConfig:
                 raise ValueError(f"batch must be at least 1, got {self.batch}")
         if self.cap is not None and not self.cap > 0:
             raise ValueError(f"cap must be positive, got {self.cap}")
-
-    def to_dict(self) -> dict:
-        out = {"method": self.method, "seed": self.seed}
-        if self.lam is not None:
-            out["lambda"] = self.lam
-        if self.eta0 is not None:
-            out["eta0"] = self.eta0
-        if self.batch is not None:
-            out["batch"] = self.batch
-        if self.steps is not None:
-            out["steps"] = self.steps
-        if self.cap is not None:
-            out["cap"] = self.cap
-        if self.average:
-            out["average"] = True
-        return out
-
-    @staticmethod
-    def from_dict(payload: dict) -> "TrainConfig":
-        unknown = sorted(set(payload) - _CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"unknown keys {unknown} in train config")
-        return TrainConfig(
-            method=payload["method"],
-            lam=payload.get("lambda"),
-            eta0=payload.get("eta0"),
-            batch=payload.get("batch"),
-            steps=payload.get("steps"),
-            seed=int(payload.get("seed", 0)),
-            cap=payload.get("cap"),
-            average=bool(payload.get("average", False)),
-        )
 
 
 @dataclass(frozen=True)

@@ -457,6 +457,32 @@ class TestExperimentCommand:
         assert "rate_cfg.json" in err and field in err and "Traceback" not in err
         assert not out.with_suffix(".csv").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("grid_points", 0), ("basket_weights", []), ("paths", 99.9), ("N_list", [5, 10.5]),
+    ])
+    def test_degenerate_or_non_integer_value_exits(self, tmp_path, rate_config, field, value, capsys):
+        doc = json.loads(rate_config.read_text())
+        doc[field] = value
+        rate_config.write_text(json.dumps(doc))
+        out = tmp_path / "r"
+        assert main(["experiment", "rate-curve", "--config", str(rate_config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {rate_config}: {field}") and "Traceback" not in err
+        assert not out.with_suffix(".csv").exists()
+
+    def test_integral_float_counts_run(self, tmp_path, rate_config, capsys):
+        # JSON writers may print counts as floats; 2e2 steps are 200 steps
+        doc = json.loads(rate_config.read_text())
+        doc.update(kind="sgd_vs_ols", N_list=[5], n_train=50.0, checkpoints=[1, 2e2],
+                   train={"method": "sgd", "lambda": 10.0, "eta0": 0.01, "steps": 2e2, "batch": 8.0})
+        rate_config.write_text(json.dumps(doc))
+        out = tmp_path / "sgd"
+        assert main(["experiment", "sgd-vs-ols", "--config", str(rate_config), "--out", str(out)]) == 0
+        train = json.loads(out.with_suffix(".json").read_text())["config"]["train"][0]
+        assert (train["steps"], train["batch"]) == (200, 8)
+        rows = out.with_suffix(".csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["1", "200"]
+
     def test_invalid_kind_choice(self, capsys):
         assert main(["experiment", "warp-drive", "--config", "x.json"]) == 1
 

@@ -5,19 +5,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kolmo_rfn.config import model_from_dict, model_to_dict
 from kolmo_rfn.data import Dataset, LognormalSpec, gen_pde_dataset
 from kolmo_rfn.experiments import (
     ExperimentSpec,
     fit_log_slope,
-    lognormal_from_dict,
-    lognormal_to_dict,
     run_basket_put,
     run_experiment,
     run_oracle_convergence,
     run_rate_curve,
     run_sgd_vs_ols,
-    triplet_from_dict,
-    triplet_to_dict,
     write_report,
 )
 from kolmo_rfn.levy import (
@@ -117,6 +114,19 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=field):
             ExperimentSpec.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "field, value", [("grid_points", 1), ("grid_points", 0), ("basket_weights", []), ("checkpoints", [])]
+    )
+    def test_degenerate_values_rejected(self, field, value):
+        # a one-point grid scores a single strike and an empty one none; an
+        # empty list is an error, not an absent field's default
+        with pytest.raises(ValueError, match=field):
+            small_rate_spec(**{field: value})
+        doc = small_rate_spec().to_dict()
+        doc[field] = value
+        with pytest.raises(ValueError, match=field):
+            ExperimentSpec.from_dict(doc)
+
     def test_single_train_config_normalizes_to_tuple(self):
         spec = small_rate_spec(train=TrainConfig(method="ols"))
         assert spec.train == (TrainConfig(method="ols"),)
@@ -171,13 +181,13 @@ class TestSpecValidation:
 class TestModelDicts:
     def test_equal_correlation_form(self):
         doc = {"type": "equal_correlation", "sigma": 0.2, "rho": 0.2, "d": 3}
-        trip = triplet_from_dict(doc)
+        trip = model_from_dict(doc)
         np.testing.assert_allclose(trip.sigma, equal_correlation_sigma(0.2, 0.2, 3))
         np.testing.assert_allclose(trip.gamma, risk_neutral_gamma(trip.sigma))
 
     def test_triplet_round_trip(self):
         trip = bs_triplet(d=2)
-        again = triplet_from_dict(triplet_to_dict(trip))
+        again = model_from_dict(model_to_dict(trip))
         np.testing.assert_array_equal(again.sigma, trip.sigma)
         np.testing.assert_array_equal(again.gamma, trip.gamma)
         assert again.jumps is None
@@ -187,8 +197,8 @@ class TestModelDicts:
             "type": "equal_correlation", "sigma": 0.2, "rho": 0.1, "d": 1,
             "jumps": {"intensity": 2.0, "atoms": [[0.3, [0.4]], [0.7, [-0.2]]], "radius": 1.5},
         }
-        trip = triplet_from_dict(doc)
-        again = triplet_from_dict(triplet_to_dict(trip))
+        trip = model_from_dict(doc)
+        again = model_from_dict(model_to_dict(trip))
         assert again.jumps.intensity == 2.0
         p1, y1 = trip.jumps.arrays()
         p2, y2 = again.jumps.arrays()
@@ -198,11 +208,11 @@ class TestModelDicts:
 
     def test_unknown_model_type(self):
         with pytest.raises(ValueError):
-            triplet_from_dict({"type": "heston", "sigma": 0.2})
+            model_from_dict({"type": "heston", "sigma": 0.2})
 
     def test_unknown_drift_rule(self):
         with pytest.raises(ValueError):
-            triplet_from_dict(
+            model_from_dict(
                 {"type": "equal_correlation", "sigma": 0.2, "rho": 0.1, "d": 1, "gamma": "real_world"}
             )
 
@@ -236,12 +246,12 @@ class TestModelDicts:
             "type": "equal_correlation", "sigma": 0.2, "rho": 0.2, "d": 2,
             "gamma": [0.0, 0.0], "jumps": jumps,
         }
-        assert triplet_from_dict(ec).jumps.radius == 2.0
+        assert model_from_dict(ec).jumps.radius == 2.0
         trip = {"type": "triplet", "sigma": [[0.04]], "gamma": [0.01], "jumps": None}
-        assert triplet_from_dict(trip).gamma.tolist() == [0.01]
+        assert model_from_dict(trip).gamma.tolist() == [0.01]
         cov = {"sigma": 0.2, "rho": 0.5, "d": 2}
         logn = {"type": "lognormal", "s0": [1.0, 1.0], "cov": cov, "T": 2.0}
-        np.testing.assert_allclose(lognormal_from_dict(logn).cov, equal_correlation_sigma(0.2, 0.5, 2))
+        np.testing.assert_allclose(model_from_dict(logn).cov, equal_correlation_sigma(0.2, 0.5, 2))
 
     @pytest.mark.parametrize("kind", ["heston", "triplet", None])
     def test_lognormal_needs_its_type(self, kind):
@@ -249,11 +259,11 @@ class TestModelDicts:
         if kind is not None:
             doc["type"] = kind
         with pytest.raises(ValueError, match=f"model type {kind!r}"):
-            lognormal_from_dict(doc)
+            model_from_dict(doc, ("lognormal",))
 
     def test_lognormal_round_trip(self):
         spec = LognormalSpec(s0=np.array([1.0, 0.9]), cov=equal_correlation_sigma(0.3, 0.5, 2), T=2.0)
-        again = lognormal_from_dict(lognormal_to_dict(spec))
+        again = model_from_dict(model_to_dict(spec))
         np.testing.assert_array_equal(again.s0, spec.s0)
         np.testing.assert_array_equal(again.cov, spec.cov)
         assert again.T == 2.0
@@ -326,18 +336,18 @@ class TestRateCurve:
         assert rep.rows[0][1] <= 1e-10
         assert math.isnan(rep.slope)
 
-    @pytest.mark.parametrize("independent", [False, True])
+    @pytest.mark.parametrize("whole_blocks", [False, True])
     @pytest.mark.parametrize("cap", [None, 0.05])
-    def test_rows_match_the_materialized_design(self, independent, cap):
-        # several row blocks on both sides; the cap clips most predictions
-        spec = small_rate_spec(train=(TrainConfig(method="ols", cap=cap),), independent_hidden=independent)
-        train = gen_pde_dataset(spec.model, spec.payoff, spec.M, spec.T, ROW_BLOCK + 904, seed=1)
-        test = gen_pde_dataset(spec.model, spec.payoff, spec.M, spec.T, ROW_BLOCK + 1, seed=2)
+    def test_rows_match_the_materialized_design(self, whole_blocks, cap):
+        # several row blocks on both sides, the last one short or whole;
+        # the cap clips most predictions
+        spec = small_rate_spec(train=(TrainConfig(method="ols", cap=cap),))
+        n_train, n_test = (2 * ROW_BLOCK, ROW_BLOCK) if whole_blocks else (ROW_BLOCK + 904, ROW_BLOCK + 1)
+        train = gen_pde_dataset(spec.model, spec.payoff, spec.M, spec.T, n_train, seed=1)
+        test = gen_pde_dataset(spec.model, spec.payoff, spec.M, spec.T, n_test, seed=2)
         rep = run_rate_curve(spec, datasets=(train, test))
-        hidden_seed = derive_seed(spec.master_seed, 3)
         for N, e_hat, risk, _ in rep.rows:
-            seed = derive_seed(hidden_seed, N) if independent else hidden_seed
-            hidden = sample_hidden_weights(spec.weight_spec, N, 2, seed)
+            hidden = sample_hidden_weights(spec.weight_spec, N, 2, derive_seed(spec.master_seed, 3))
             W, diag = fit_ols(design_matrix(hidden, train.X).values, train.Y)
             assert risk == pytest.approx(diag.empirical_risk, rel=1e-10)
             net = RandomFeatureNet(hidden=hidden, W=W, cap=cap)
@@ -370,12 +380,12 @@ class TestRateCurve:
         assert rep.extras["effective_rank"] == expected
         assert max(expected.values()) <= 4
 
-    @pytest.mark.parametrize("independent", [False, True])
-    def test_failed_fold_fails_every_width_it_serves(self, independent):
-        spec = small_rate_spec(independent_hidden=independent)
+    @pytest.mark.parametrize("first_block", [False, True])
+    def test_failed_fold_fails_every_width_it_serves(self, first_block):
+        spec = small_rate_spec()
         train = gen_pde_dataset(spec.model, spec.payoff, spec.M, spec.T, ROW_BLOCK + 10, seed=1)
         bad_y = train.Y.copy()
-        bad_y[-1] = math.inf  # in the second row block
+        bad_y[0 if first_block else -1] = math.inf  # the fold's first or second row block
         train = Dataset(X=train.X, Y=bad_y, label_kind="single_draw", seed=1, M=spec.M, T=spec.T)
         test = gen_pde_dataset(spec.model, spec.payoff, spec.M, spec.T, 50, seed=2)
         rep = run_rate_curve(spec, datasets=(train, test))
@@ -395,11 +405,6 @@ class TestRateCurve:
         assert all(math.isnan(r[1]) for r in rep.rows)
         assert math.isnan(rep.slope)
         assert len(rep.extras["errors"]) == 3
-
-    def test_independent_hidden_changes_small_N(self):
-        nested = run_rate_curve(small_rate_spec())
-        indep = run_rate_curve(small_rate_spec(independent_hidden=True))
-        assert [r[1] for r in nested.rows] != [r[1] for r in indep.rows]
 
     def test_report_files_and_slope_refit(self, tmp_path):
         out = tmp_path / "runs" / "rate"

@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 from scipy.special import ndtr
 
+from kolmo_rfn.config import payoff_from_dict, payoff_to_dict
 from kolmo_rfn.fourier import (
     FourierProfile,
     alpha,
@@ -21,9 +22,7 @@ from kolmo_rfn.fourier import (
 from kolmo_rfn.levy import (
     indicator,
     max_call,
-    payoff_from_dict,
     payoff_log_eval,
-    payoff_to_dict,
     table,
     tent,
     truncated,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kolmo_rfn.config import payoff_from_dict, payoff_to_dict
 from kolmo_rfn.levy import (
     STRONG_FORM_THRESHOLD,
     CompoundPoissonSpec,
@@ -16,9 +17,7 @@ from kolmo_rfn.levy import (
     levy_symbol,
     max_call,
     payoff_eval,
-    payoff_from_dict,
     payoff_log_eval,
-    payoff_to_dict,
     price_mc,
     risk_neutral_gamma,
     simulate_levy_increment,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kolmo_rfn.config import train_from_dict, train_to_dict
 from kolmo_rfn.data import Dataset
 from kolmo_rfn.network import (
     ROW_BLOCK,
@@ -50,16 +51,16 @@ def make_dataset(X, Y):
 class TestConfig:
     def test_round_trip(self):
         cfg = TrainConfig(method="sgd", lam=2.0, eta0=0.1, batch=8, steps=100, seed=3)
-        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+        assert train_from_dict(train_to_dict(cfg)) == cfg
 
     def test_ols_needs_nothing(self):
         assert TrainConfig(method="ols").lam is None
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match=r"unknown keys \['capp'\] in train config"):
-            TrainConfig.from_dict({"method": "ols", "capp": 1.0})
+            train_from_dict({"method": "ols", "capp": 1.0})
         full = TrainConfig(method="sgd", lam=2.0, eta0=0.1, batch=8, steps=100, seed=3, cap=1.5, average=True)
-        assert TrainConfig.from_dict(full.to_dict()) == full
+        assert train_from_dict(train_to_dict(full)) == full
 
     def test_constrained_requires_lambda(self):
         with pytest.raises(ValueError):
