@@ -62,6 +62,12 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _integers(values) -> tuple[int, ...]:
     return tuple(_integer(v) for v in values)
 
@@ -104,7 +110,7 @@ _TRAIN_FIELDS = {
     "batch": ("batch", _optional(_integer), None),
     "steps": ("steps", _optional(_integer), None),
     "cap": ("cap", None, None),
-    "average": ("average", bool, lambda average: True if average else None),
+    "average": ("average", _boolean, lambda average: True if average else None),
 }
 
 

@@ -29,14 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .levy import Payoff, payoff_log_eval
-from .network import (
-    HiddenWeights,
-    RandomFeatureNet,
-    WeightDistributionSpec,
-    pi_b,
-    pi_w,
-    predict,
-)
+from .network import HiddenWeights, WeightDistributionSpec, pi_b, pi_w
 
 __all__ = [
     "FourierProfile",
@@ -191,9 +184,13 @@ def char_fn_gaussian(cov, xi):
     pts = np.atleast_2d(arr)
     if pts.shape[1] != cov.shape[0]:
         raise ValueError(f"xi has dimension {pts.shape[1]}, covariance is {cov.shape[0]}-dim")
-    q = np.einsum("ij,jk,ik->i", pts, cov, pts)
-    vals = np.exp(-0.5 * q)
+    vals = _gaussian_char(cov, pts)
     return float(vals[0]) if arr.ndim <= 1 else vals
+
+
+def _gaussian_char(cov: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    # char_fn_gaussian without its checks, for a covariance checked once
+    return np.exp(-0.5 * np.einsum("ij,jk,ik->i", pts, cov, pts))
 
 
 @dataclass(frozen=True)
@@ -269,15 +266,15 @@ def gaussian_profile(payoff: Payoff, M: float, C: float, cov: float | None = Non
     cov_mat = _check_psd([[float(cov)]])
     return FourierProfile(
         phi_hat=lambda rows: base(np.atleast_2d(rows)[:, 0]),
-        char_V=lambda rows: char_fn_gaussian(cov_mat, np.atleast_2d(rows)),
+        char_V=lambda rows: _gaussian_char(cov_mat, np.atleast_2d(rows)),
         M=float(M),
         d=1,
         C=float(C),
     )
 
 
-def _alpha_rows(profile: FourierProfile, xis: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """alpha at each (frequency row, offset) pair.
+def _alpha_rows(profile: FourierProfile, xis, us, gp, gm) -> np.ndarray:
+    """alpha at each (frequency row, offset) pair, given gp = G(xis) and gm = G(-xis).
 
     alpha(xi, u) = -1_{(-M |xi|_1, 0]}(u) Re[e^{-iu} G(xi) + e^{iu} G(-xi)]
                    + 1_{[0, 1]}(u) gt(xi) - 1_{[-1, 0]}(u) gt(-xi)
@@ -287,8 +284,6 @@ def _alpha_rows(profile: FourierProfile, xis: np.ndarray, us: np.ndarray) -> np.
     affine remainder of the relu representation.
     """
 
-    gp = profile.G(xis)
-    gm = profile.G(-xis)
     l1 = np.abs(xis).sum(axis=1)
     out = np.zeros(us.shape)
 
@@ -310,7 +305,9 @@ def alpha(profile: FourierProfile, xi, u: float) -> float:
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (profile.d,):
         raise ValueError(f"xi has shape {xi.shape}, expected ({profile.d},)")
-    return float(_alpha_rows(profile, xi[None, :], np.array([float(u)]))[0])
+    xis = xi[None, :]
+    vals = _alpha_rows(profile, xis, np.array([float(u)]), profile.G(xis), profile.G(-xis))
+    return float(vals[0])
 
 
 def oracle_weight_envelope(
@@ -324,11 +321,15 @@ def oracle_weight_envelope(
 
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
     us = np.atleast_1d(np.asarray(us, dtype=float))
-    mag = np.abs(profile.G(xis)) + np.abs(profile.G(-xis))
-    l1 = np.abs(xis).sum(axis=1)
-    ind = ((us > -profile.M * l1) & (us <= 0.0)).astype(float)
+    bound = _alpha_bound(profile, xis, us, profile.G(xis), profile.G(-xis))
+    return bound / (pi_w(spec, xis) * pi_b(spec, us))
+
+
+def _alpha_bound(profile: FourierProfile, xis, us, gp, gm) -> np.ndarray:
+    # the envelope's bound on |alpha|, given gp = G(xis) and gm = G(-xis)
+    ind = ((us > -profile.M * np.abs(xis).sum(axis=1)) & (us <= 0.0)).astype(float)
     ind += 4.0 * ((us >= -1.0) & (us <= 1.0))
-    return ind * mag / (pi_w(spec, xis) * pi_b(spec, us))
+    return ind * (np.abs(gp) + np.abs(gm))
 
 
 def construct_oracle_weights(hidden: HiddenWeights, profile: FourierProfile) -> np.ndarray:
@@ -342,10 +343,12 @@ def construct_oracle_weights(hidden: HiddenWeights, profile: FourierProfile) -> 
 
     if hidden.d != profile.d:
         raise ValueError(f"hidden weights are {hidden.d}-dim, profile is {profile.d}-dim")
-    f = _alpha_rows(profile, hidden.A, hidden.B) / (
-        pi_w(hidden.spec, hidden.A) * pi_b(hidden.spec, hidden.B)
-    )
-    env = oracle_weight_envelope(profile, hidden.spec, hidden.A, hidden.B)
+    A, B = hidden.A, hidden.B
+    # G at the sampled rows feeds both alpha and the envelope
+    gp, gm = profile.G(A), profile.G(-A)
+    dens = pi_w(hidden.spec, A) * pi_b(hidden.spec, B)
+    f = _alpha_rows(profile, A, B, gp, gm) / dens
+    env = _alpha_bound(profile, A, B, gp, gm) / dens
     if (np.abs(f) > env * (1.0 + 1e-9) + 1e-300).any():
         raise ArithmeticError("sampled weight escaped its envelope; inconsistent profile")
     return f / hidden.N
@@ -388,18 +391,20 @@ def reference_convolution(payoff: Payoff, cov, x):
     return float(out[0]) if arr.ndim == 1 else out.reshape(arr.shape[:-1])
 
 
-def sup_error_on_grid(net: RandomFeatureNet, reference_values, M: float) -> float:
-    """Max |net - reference| over the regular grid on [-M, M] the values sit on.
+def sup_error_on_grid(design, W, reference_values) -> float:
+    """Max |design @ W - reference| over the grid points of the design's rows.
 
-    ``reference_values`` holds the one-dimensional target at
-    ``np.linspace(-M, M, len(reference_values))``. A grid maximum is a
-    lower bound on the true sup.
+    ``design`` holds the features at each grid point, for instance the
+    first N columns of a wider layer's grid design, ``W`` the width's
+    output weights and ``reference_values`` the target at the same
+    points. A grid maximum is a lower bound on the true sup.
     """
 
-    if net.hidden.d != 1:
-        raise ValueError("grid sup-error is one-dimensional")
+    design = np.asarray(design, dtype=float)
+    W = np.asarray(W, dtype=float)
     ref = np.asarray(reference_values, dtype=float)
     if ref.ndim != 1 or ref.shape[0] < 2:
         raise ValueError("need at least 2 reference values on a 1-d grid")
-    pts = np.linspace(-M, M, ref.shape[0])[:, None]
-    return float(np.abs(predict(net, pts) - ref).max())
+    if W.ndim != 1 or design.shape != (ref.shape[0], W.shape[0]):
+        raise ValueError(f"design has shape {design.shape}, expected {(ref.shape[0], W.size)}")
+    return float(np.abs(design @ W - ref).max())

@@ -367,7 +367,8 @@ def basket_put(strike: float, weights) -> Payoff:
     if (w < 0).any():
         raise ValueError("basket weights must be nonnegative")
     strike = float(strike)
-    kinks = (math.log(strike / w[0]),) if w.shape == (1,) and strike > 0 and w[0] > 0 else ()
+    # a difference of logs, as strike / w[0] overflows for a subnormal weight
+    kinks = (math.log(strike) - math.log(w[0]),) if w.shape == (1,) and strike > 0 and w[0] > 0 else ()
     return Payoff(
         "basket_put", {"strike": strike, "weights": w}, w.shape[0], False,
         lambda s: np.maximum(strike - s @ w, 0.0),

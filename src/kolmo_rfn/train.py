@@ -58,6 +58,9 @@ __all__ = [
 
 _SGD_INDEX_STREAM = 60
 
+# SGD steps whose batch rows one fancy index gathers
+_SGD_GATHER = 16
+
 # singular values below this fraction of the largest are treated as zero
 _SVD_RCOND = 1e-10
 
@@ -349,17 +352,25 @@ def fit_sgd(design, Y, config: TrainConfig, observer=None) -> tuple[np.ndarray, 
     block = 8192
     t = 1
     while t < steps:
-        rows = min(block, steps - t)
-        J = idx_stream.integers(0, n, size=(rows, batch))
-        for k in range(rows):
-            Xb = X[J[k]]
-            grad = (2.0 / batch) * (Xb.T @ (Xb @ W - y[J[k]]))
-            W = project_ball(W - config.eta0 / math.sqrt(t) * grad, lam)
-            t += 1
-            if observer is not None:
-                observer(t, W.copy())
-            if total is not None:
-                total += W
+        J = idx_stream.integers(0, n, size=(min(block, steps - t), batch))
+        for k in range(0, J.shape[0], _SGD_GATHER):
+            Jg = J[k:k + _SGD_GATHER]
+            # in place, rounding as (2/batch) X_J'(X_J W - y_J) and project_ball do
+            for Xb, yb in zip(X[Jg], y[Jg]):
+                r = np.dot(Xb, W)
+                r -= yb
+                g = np.dot(r, Xb)
+                g *= 2.0 / batch
+                g *= config.eta0 / math.sqrt(t)
+                W -= g
+                norm = math.sqrt(np.dot(W, W))
+                if not norm <= lam:  # a NaN norm scales W too, as in project_ball
+                    W *= lam / norm
+                t += 1
+                if observer is not None:
+                    observer(t, W.copy())
+                if total is not None:
+                    total += W
 
     out = total / steps if total is not None else W
     diag = FitDiagnostics(

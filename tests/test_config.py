@@ -101,7 +101,7 @@ def payoffs():
     dims = st.integers(1, 4)
     leaves = st.one_of(
         st.builds(max_call, st.floats(0.0, 3.0), dims),
-        st.builds(basket_put, st.floats(0.0, 3.0), st.lists(st.just(0.0) | positive, min_size=1, max_size=4)),
+        st.builds(basket_put, st.floats(0.0, 3.0), st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4)),
         st.builds(tent, small, positive),
         st.builds(lambda lo, width: indicator(lo, [a + w for a, w in zip(lo, width)]),
                   st.lists(small, min_size=1, max_size=3), st.lists(positive, min_size=3, max_size=3)),
@@ -293,6 +293,16 @@ class TestIntegerFields:
         assert dataset_from_dict({**doc, key: 4.0}).n == (4 if key == "n" else 3)
         with pytest.raises(ValueError, match=f"{key}: expected an integer"):
             dataset_from_dict({**doc, key: 4.5})
+
+
+class TestBooleanFields:
+    def test_average_reads_json_booleans_only(self):
+        doc = {"method": "sgd", "lambda": 1.0, "eta0": 0.1, "steps": 10}
+        assert train_from_dict(via_json({**doc, "average": True})).average is True
+        assert train_from_dict(via_json({**doc, "average": False})).average is False
+        for bad in ("false", "true", 0, 1, None, [True]):
+            with pytest.raises(ValueError, match="average: expected true or false"):
+                train_from_dict({**doc, "average": bad})
 
 
 class TestDefaults:

@@ -4,10 +4,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kolmo_rfn import fourier
 from kolmo_rfn.config import model_from_dict, model_to_dict
 from kolmo_rfn.data import Dataset, LognormalSpec, gen_pde_dataset
 from kolmo_rfn.experiments import (
+    _ORACLE,
     ExperimentSpec,
     fit_log_slope,
     run_basket_put,
@@ -30,8 +34,11 @@ from kolmo_rfn.network import (
     RandomFeatureNet,
     WeightDistributionSpec,
     design_matrix,
+    pi_b,
+    pi_w,
     predict,
     sample_hidden_weights,
+    subnetwork,
 )
 from kolmo_rfn.rng import derive_seed
 from kolmo_rfn.train import TrainConfig, empirical_risk, fit_ols
@@ -567,6 +574,52 @@ class TestOracleConvergence:
     def test_needs_payoff(self):
         with pytest.raises(ValueError):
             run_oracle_convergence(small_oracle_spec(payoff=None))
+
+    # a fixed budget, and no deadline: a loaded machine must not fail a property
+    @settings(max_examples=25, deadline=None)
+    @given(
+        master_seed=st.integers(0, 2**32), widths=st.sets(st.integers(1, 120), min_size=1, max_size=4),
+        seeds=st.integers(1, 3), grid_points=st.integers(2, 60),
+    )
+    def test_rows_equal_the_per_width_net_path(self, master_seed, widths, seeds, grid_points):
+        # the oracle path before every width shared one grid design: a
+        # subnetwork, a net and a prediction per width
+        spec = small_oracle_spec(
+            N_list=tuple(sorted(widths)), oracle_seeds=seeds, grid_points=grid_points,
+            master_seed=master_seed,
+        )
+        profile = fourier.gaussian_profile(spec.payoff, spec.M, spec.C)
+        pts = np.linspace(-spec.M, spec.M, grid_points)[:, None]
+        ref = fourier.reference_convolution(spec.payoff, [[2.0 * spec.C]], pts)
+        n_max = spec.N_list[-1]
+        want = []
+        for s in range(seeds):
+            hidden = sample_hidden_weights(
+                spec.weight_spec, n_max, 1, derive_seed(master_seed, _ORACLE, s)
+            )
+            # construct_oracle_weights' arithmetic, G evaluated where alpha needs it
+            A, B = hidden.A, hidden.B
+            f = fourier._alpha_rows(profile, A, B, profile.G(A), profile.G(-A)) / (
+                pi_w(hidden.spec, A) * pi_b(hidden.spec, B)
+            ) / n_max * n_max
+            for N in spec.N_list:
+                net = RandomFeatureNet(hidden=subnetwork(hidden, N), W=f[:N] / N)
+                err = float(np.abs(predict(net, pts) - ref).max())
+                want.append((s, N, err, float(np.abs(f[:N]).max() / N)))
+        assert list(run_oracle_convergence(spec).rows) == want
+
+    def test_covariance_checked_a_fixed_number_of_times(self, monkeypatch):
+        # once by the profile and once by the reference, however many
+        # seeds and widths, so no G evaluation repeats the check
+        calls = []
+        check = fourier._check_psd
+        monkeypatch.setattr(fourier, "_check_psd", lambda cov: calls.append(cov) or check(cov))
+        counts = []
+        for seeds, widths in ((1, (5,)), (3, (5, 20, 60))):
+            calls.clear()
+            run_oracle_convergence(small_oracle_spec(oracle_seeds=seeds, N_list=widths))
+            counts.append(len(calls))
+        assert counts == [2, 2]
 
 
 def small_sgd_spec(**overrides):

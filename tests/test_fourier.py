@@ -30,6 +30,7 @@ from kolmo_rfn.levy import (
 from kolmo_rfn.network import (
     RandomFeatureNet,
     WeightDistributionSpec,
+    design_matrix,
     pi_b,
     pi_w,
     predict,
@@ -482,42 +483,49 @@ class TestReferenceConvolution:
 
 
 class TestSupErrorOnGrid:
-    def make_net(self, seed=0, N=20, W=None, d=1):
-        hidden = sample_hidden_weights(WeightDistributionSpec(), N=N, d=d, seed=seed)
+    def make_net(self, seed=0, N=20, W=None):
+        hidden = sample_hidden_weights(WeightDistributionSpec(), N=N, d=1, seed=seed)
         w = np.zeros(N) if W is None else W
         return RandomFeatureNet(hidden=hidden, W=w)
+
+    def grid_design(self, net, M, n):
+        return design_matrix(net.hidden, np.linspace(-M, M, n)[:, None]).values
 
     def test_zero_when_reference_is_the_net(self):
         net = self.make_net(W=np.linspace(-1, 1, 20))
         # same computation path: exactly zero
         grid = np.linspace(-1, 1, 21)[:, None]
-        assert sup_error_on_grid(net, predict(net, grid), 1.0) == 0.0
+        assert sup_error_on_grid(self.grid_design(net, 1.0, 21), net.W, predict(net, grid)) == 0.0
 
     def test_constant_gap(self):
         net = self.make_net()  # identically zero
-        assert sup_error_on_grid(net, np.full(11, 0.7), 1.0) == pytest.approx(0.7)
+        assert sup_error_on_grid(self.grid_design(net, 1.0, 11), net.W, np.full(11, 0.7)) == pytest.approx(0.7)
 
     def test_refinement_never_decreases(self):
         net = self.make_net(W=np.random.default_rng(5).standard_normal(20))
-        coarse = sup_error_on_grid(net, np.zeros(11), 1.0)
-        fine = sup_error_on_grid(net, np.zeros(21), 1.0)
+        coarse = sup_error_on_grid(self.grid_design(net, 1.0, 11), net.W, np.zeros(11))
+        fine = sup_error_on_grid(self.grid_design(net, 1.0, 21), net.W, np.zeros(21))
         assert fine >= coarse
 
     def test_cached_reference_values(self):
-        # the grid is read from the values: n points spread over [-M, M]
         net = self.make_net(W=np.random.default_rng(6).standard_normal(20))
         grid = np.linspace(-0.5, 0.5, 31)
         feats = np.maximum(np.outer(grid, net.hidden.A[:, 0]) + net.hidden.B, 0.0)
         want = np.abs(feats @ net.W - np.sin(grid)).max()
-        assert sup_error_on_grid(net, np.sin(grid), 0.5) == pytest.approx(want, rel=1e-12)
+        assert sup_error_on_grid(feats, net.W, np.sin(grid)) == pytest.approx(want, rel=1e-12)
         for bad in (np.zeros(1), np.zeros((31, 1))):
             with pytest.raises(ValueError):
-                sup_error_on_grid(net, bad, 0.5)
+                sup_error_on_grid(feats, net.W, bad)
 
     def test_dimension_limit(self):
-        net = self.make_net(d=2)
-        with pytest.raises(ValueError):
-            sup_error_on_grid(net, np.zeros(5), 1.0)
+        # the design must have one row per reference value and one column per weight
+        feats = np.zeros((5, 4))
+        for design, W in (
+            (feats, np.zeros(3)), (feats[:4], np.zeros(4)), (feats[0], np.zeros(4)),
+            (feats, np.zeros((4, 1))), (feats[None], np.zeros(4)),
+        ):
+            with pytest.raises(ValueError):
+                sup_error_on_grid(design, W, np.zeros(5))
 
 
 class TestTruncatePayoff:
@@ -562,7 +570,7 @@ class TestRateSanity:
         for seed in range(6):
             hidden = sample_hidden_weights(spec, N=400, d=1, seed=seed)
             f = construct_oracle_weights(hidden, prof) * 400
+            design = design_matrix(hidden, grid[:, None]).values
             for N in (10, 400):
-                net = RandomFeatureNet(hidden=subnetwork(hidden, N), W=f[:N] / N)
-                errs[N].append(sup_error_on_grid(net, ref_vals, 1.0))
+                errs[N].append(sup_error_on_grid(design[:, :N], f[:N] / N, ref_vals))
         assert np.mean(errs[400]) < np.mean(errs[10])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -414,6 +415,14 @@ class TestPayoffs:
             assert [a.tolist() for a in po.support] == list(support)
         assert tuple(float(k) for k in po.kinks) == kinks
         assert payoff_to_dict(po) == doc
+
+    def test_one_asset_kink_of_a_subnormal_weight(self):
+        # strike / w overflows here; the kink is log(strike) - log(w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            po = basket_put(1.0, [1e-310])
+        assert po.kinks == (-math.log(1e-310),)
+        assert math.isfinite(po.kinks[0])
 
     def test_from_dict_rejects_unknown_kind_and_params(self):
         with pytest.raises(ValueError, match="digital"):

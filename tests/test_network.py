@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kolmo_rfn.network import (
     ROW_BLOCK,
@@ -358,6 +360,19 @@ class TestDesignMatrix:
         sizes = [len(range(n)[b]) for b in blocks]
         assert all(size % 4 == 0 for size in sizes[:-1])
         assert len(sizes) <= 1 or sizes[-1] >= 4  # a short remainder joins its neighbour
+
+    # a fixed budget, and no deadline: a loaded machine must not fail a property
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), n_max=st.integers(1, 450), points=st.integers(1, 150), data=st.data())
+    def test_column_prefix_is_the_subnetwork_design(self, seed, n_max, points, data):
+        # the 1-d oracle scores every width on a column prefix of one grid
+        # design. Each entry is one rounded product there; at d > 1 the
+        # BLAS path depends on the width (d = 2 differs at N = 1 and 197)
+        N = data.draw(st.integers(1, n_max))
+        hidden = sample_hidden_weights(SPEC, N=n_max, d=1, seed=seed)
+        X = np.linspace(-2.0, 2.0, points)[:, None]
+        want = design_matrix(subnetwork(hidden, N), X).values
+        assert np.array_equal(design_matrix(hidden, X).values[:, :N], want)
 
     def test_feature_matrix_shape_validated(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,9 @@ from kolmo_rfn.network import (
     design_matrix,
     sample_hidden_weights,
 )
+from kolmo_rfn.rng import substream
 from kolmo_rfn.train import (
+    _SGD_INDEX_STREAM,
     FitDiagnostics,
     TrainConfig,
     empirical_risk,
@@ -532,6 +534,70 @@ class TestSgd:
             W, diag = fit(X, y, cfg)
             assert W.shape == (4,)
             assert diag.empirical_risk >= 0
+
+
+def sgd_per_step(X, y, config, observer=None):
+    """The per-step SGD loop: fresh arrays and project_ball on every step."""
+
+    n, N = X.shape
+    batch = config.batch if config.batch is not None else min(n, 64)
+    W = np.zeros(N)
+    if observer is not None:
+        observer(1, W.copy())
+    total = W.copy() if config.average else None
+    idx_stream = substream(config.seed, _SGD_INDEX_STREAM)
+    t = 1
+    while t < config.steps:
+        rows = min(8192, config.steps - t)
+        J = idx_stream.integers(0, n, size=(rows, batch))
+        for k in range(rows):
+            Xb = X[J[k]]
+            grad = (2.0 / batch) * (Xb.T @ (Xb @ W - y[J[k]]))
+            W = project_ball(W - config.eta0 / math.sqrt(t) * grad, config.lam)
+            t += 1
+            if observer is not None:
+                observer(t, W.copy())
+            if total is not None:
+                total += W
+    out = total / config.steps if total is not None else W
+    r = X @ out - y
+    return out, FitDiagnostics(empirical_risk=float(r @ r / y.size), steps_run=config.steps - 1)
+
+
+class TestSgdAgainstPerStepLoop:
+    # fit_sgd gathers the rows of several steps at once and updates W in
+    # place; the per-step loop above is its oracle, bit for bit
+
+    @pytest.mark.parametrize("average", [False, True], ids=["last", "averaged"])
+    @pytest.mark.parametrize("lam", [0.3, 1e3], ids=["projected", "free"])
+    @pytest.mark.parametrize(
+        "n, N, batch, steps, prefix",
+        [
+            (40, 6, 8, 300, False),
+            (40, 6, 5, 8192 + 37, False),  # a second index block and a partial gather
+            (12, 5, 12, 100, False),  # batch == n
+            (30, 1, 4, 200, False),  # N == 1
+            (40, 6, 8, 300, True),  # a column-prefix view, as fit_widths passes it
+        ],
+        ids=["plain", "two_blocks", "batch_is_n", "one_feature", "prefix_view"],
+    )
+    def test_same_bits_as_the_per_step_loop(self, n, N, batch, steps, prefix, lam, average):
+        rng = np.random.default_rng(n * N + steps)
+        wide = np.maximum(rng.standard_normal((n, N + 3 if prefix else N)), 0.0)
+        X = wide[:, :N]
+        assert X.flags.c_contiguous != prefix
+        y = 3.0 * rng.standard_normal(n)
+        cfg = TrainConfig(method="sgd", lam=lam, eta0=0.2, batch=batch, steps=steps, seed=n + steps, average=average)
+        got, want = [], []
+        W, diag = fit_sgd(X, y, cfg, observer=lambda t, w: got.append((t, w)))
+        W_ref, diag_ref = sgd_per_step(X, y, cfg, observer=lambda t, w: want.append((t, w)))
+        assert np.array_equal(W, W_ref)
+        assert diag == diag_ref
+        assert [t for t, _ in got] == [t for t, _ in want] == list(range(1, steps + 1))
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
+        # the radius binds on some iterate exactly when it is meant to
+        norms = [np.linalg.norm(w) for _, w in want]
+        assert (max(norms) > lam * (1 - 1e-12)) == (lam < 1.0)
 
 
 class TestRiskAndErrorEstimate:
