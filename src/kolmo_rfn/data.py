@@ -14,21 +14,27 @@ Inputs, label draws, and observation noise come from separate
 substreams of the dataset seed, and Monte Carlo label rows get one
 substream each, keyed by (seed, row), so generation is reproducible and
 order-independent.  Monte Carlo labels are computed in blocks of rows
-(at most ``_CHUNK`` paths in all) that draw from those same per-row
+(at most ``_CHUNK // 2`` paths in all) that draw from those same per-row
 streams, so label i depends only on (seed, i): not on n, not on the
-block size, and bit for bit equal to ``price_mc`` (or the
-``sample_lognormal`` put average) on row i's stream, which the tests
-use as the reference.  Their standard errors are kept as
-``Dataset.label_se``.  Datasets persist as CSV (header
-``x_1,...,x_d,y``) with a JSON sidecar holding the generation metadata.
+block size, not on the thread that drew it, and bit for bit equal to
+``price_mc`` (or the ``sample_lognormal`` put average) on row i's
+stream, which the tests use as the reference.  Their standard errors
+are kept as ``Dataset.label_se``.  When a row draws at least
+``_SHARED_FILL`` normals, two threads draw rows, each row from its own
+stream: while the caller's thread turns block k into payoffs, one
+helper thread fills block k + 1, and the caller then draws the rows of
+k + 1 the helper has not claimed yet.  Two half-``_CHUNK`` buffers take
+turns, and the helper is stopped before the call returns.  Datasets
+persist as CSV (header ``x_1,...,x_d,y``) with a JSON sidecar holding
+the generation metadata.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +49,7 @@ from .levy import (
     sqrt_sigma,
 )
 from .network import row_blocks
-from .rng import row_streams, substream
+from .rng import keyed_generator, row_keys, row_streams, substream
 
 __all__ = [
     "Dataset",
@@ -147,46 +153,117 @@ def sample_lognormal(spec: LognormalSpec, rng: np.random.Generator, size: int) -
     return _lognormal_prices(spec, root, rng.standard_normal((size, spec.m)))
 
 
-def _label_blocks(seed: int, n: int, paths: int, width: int, chunk: int, draw):
-    """Yield (rows, z, per-row draws) blocks of at most ``chunk`` path-rows.
+# a row whose fill draws fewer normals holds the GIL for its bookkeeping
+# about as long as its fill releases it, so a second thread slows it down
+_SHARED_FILL = 1024
 
-    Row i draws from ``substream(seed, _LABEL_STREAM, i)``:
-    ``draw(generator, z)`` fills the row's normals z (size, width) and
-    returns its other variates as a tuple of arrays.  A row with more
-    than ``chunk`` paths gets blocks of its own, one per chunk of paths,
-    drawn in turn from its stream.
+
+class _Block:
+    """One pipeline block: rows [lo, hi) with their normals in ``z``.
+
+    Threads draw the block's rows by claiming them one at a time, each
+    row from its own stream, so which thread draws a row never changes
+    it.  ``others[r]`` holds the other variates of row ``lo + r``.
     """
 
-    gens = row_streams(seed, _LABEL_STREAM, rows=n)
-    if paths > chunk:
-        for i, gen in enumerate(gens):
-            for done in range(0, paths, chunk):
-                z = np.empty((1, min(chunk, paths - done), width))
-                yield slice(i, i + 1), z, [draw(gen, z[0])]
+    def __init__(self, lo: int, hi: int, buffer: np.ndarray) -> None:
+        self.rows = slice(lo, hi)
+        self.z = buffer[: hi - lo]
+        self.others = [None] * (hi - lo)
+        self._left = iter(range(hi - lo))
+        self._lock = threading.Lock()
+
+    def fill(self, open_row, draw) -> None:
+        """Draw every row no thread has claimed yet with ``open_row``'s generator."""
+
+        lo = self.rows.start
+        while True:
+            with self._lock:
+                r = next(self._left, None)
+            if r is None:
+                return
+            self.others[r] = draw(open_row(lo + r), self.z[r])
+
+
+def _filled_blocks(seed: int, n: int, paths: int, width: int, draw, pool):
+    """Yield (rows, z, per-row draws) blocks of at most ``_CHUNK // 2`` path-rows.
+
+    Row i draws from ``substream(seed, _LABEL_STREAM, i)``:
+    ``draw(generator, z)`` fills the row's normals z (paths, width) and
+    returns its other variates as a tuple of arrays.  A yielded block is
+    read only until the next one is asked for: its buffer is then filled
+    again.  With a ``pool``, two buffers take turns: the pool's one
+    thread starts filling block k + 1 before block k is yielded, and the
+    caller's thread draws the rows the helper has not claimed yet once it
+    asks for block k + 1.
+    """
+
+    keys = row_keys(seed, _LABEL_STREAM, rows=n)
+    own = keyed_generator(keys)
+    per_block = min(n, (_CHUNK // 2) // paths)
+    starts = range(0, n, per_block)
+    if pool is None:
+        z = np.empty((per_block, paths, width))
+        for lo in starts:
+            hi = min(n, lo + per_block)
+            yield slice(lo, hi), z[: hi - lo], [draw(own(i), z[i - lo]) for i in range(lo, hi)]
         return
-    per_block = chunk // paths
-    for lo in range(0, n, per_block):
-        hi = min(n, lo + per_block)
-        z = np.empty((hi - lo, paths, width))
-        yield slice(lo, hi), z, [draw(gen, z[r]) for r, gen in enumerate(islice(gens, hi - lo))]
+
+    helper = keyed_generator(keys)
+    buffers = [np.empty((per_block, paths, width)) for _ in range(min(2, len(starts)))]
+
+    def start(k: int):
+        lo = starts[k]
+        block = _Block(lo, min(n, lo + per_block), buffers[k % 2])
+        return block, pool.submit(block.fill, helper, draw)
+
+    upcoming = start(0)
+    for k in range(len(starts)):
+        block, pending = upcoming
+        block.fill(own, draw)
+        pending.result()
+        if k + 1 < len(starts):
+            upcoming = start(k + 1)
+        yield block.rows, block.z, block.others
 
 
 def _mc_labels(seed: int, n: int, paths: int, width: int, draw, values, chunk: int = _CHUNK):
     """Monte Carlo means and standard errors of n label rows, by blocks.
 
-    ``draw`` is as in :func:`_label_blocks`; ``values(rows, z, *others)``
+    ``draw`` is as in :func:`_filled_blocks`; ``values(rows, z, *others)``
     maps a block's normals (rows, size, width) and its rows' other draws,
-    concatenated, to the (rows, size) payoffs.  Per row, the sums run in
-    the same order and the standard error uses the same formula as
-    ``price_mc``.
+    concatenated, to the (rows, size) payoffs.  Rows of at most
+    ``_CHUNK // 2`` paths go through :func:`_filled_blocks`, with a
+    helper thread when a row's fill draws at least ``_SHARED_FILL``
+    normals; a longer row is drawn alone, its paths in turn in blocks of
+    at most ``chunk``.  Per row, the sums run in the same order and the
+    standard error uses the same formula as ``price_mc``.
     """
 
     total = np.zeros(n)
     total_sq = np.zeros(n)
-    for rows, z, others in _label_blocks(seed, n, paths, width, chunk, draw):
+
+    def add(rows, z, others) -> None:
         vals = values(rows, z, *(np.concatenate(parts) for parts in zip(*others)))
         total[rows] += vals.sum(axis=-1)
         total_sq[rows] += (vals * vals).sum(axis=-1)
+
+    if paths > _CHUNK // 2:
+        for i, gen in enumerate(row_streams(seed, _LABEL_STREAM, rows=n)):
+            for done in range(0, paths, chunk):
+                z = np.empty((1, min(chunk, paths - done), width))
+                add(slice(i, i + 1), z, [draw(gen, z[0])])
+    elif paths * width < _SHARED_FILL:
+        for block in _filled_blocks(seed, n, paths, width, draw, None):
+            add(*block)
+    else:
+        # imported here: concurrent.futures brings in logging, about 10 ms
+        # of every cold start, and only jobs with long label rows use it
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(1) as pool:
+            for block in _filled_blocks(seed, n, paths, width, draw, pool):
+                add(*block)
     mean = total / paths
     if paths == 1:
         return mean, np.full(n, math.inf)

@@ -251,7 +251,11 @@ def design_matrix(hidden: HiddenWeights, X) -> FeatureMatrix:
     """ReLU features of the rows of X (a flat array is read as rows of d)."""
 
     arr = _rows(hidden, X)
-    values = np.maximum(arr @ hidden.A.T + hidden.B, 0.0)
+    # at d = 1 the product is an outer product, with the same bits as the
+    # gemm and without its call overhead
+    values = arr * hidden.A[:, 0] if hidden.d == 1 else arr @ hidden.A.T
+    values += hidden.B
+    np.maximum(values, 0.0, out=values)
     return FeatureMatrix(values=values, point_count=arr.shape[0], feature_count=hidden.N)
 
 

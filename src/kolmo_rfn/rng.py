@@ -12,21 +12,24 @@ the ones already drawn.
 
 :func:`substream` is the reference definition of a stream.  For the many
 per-row streams ``(seed, ids..., i)`` of a dataset, :func:`row_streams`
-derives the Philox keys of all rows at once, by repeating the
-``SeedSequence`` hash in vectorized ``uint32`` arithmetic, and re-keys a
-single generator per row instead of building a ``SeedSequence`` and a
-``Philox`` for each.  This relies on ``SeedSequence`` output being stable
-across numpy versions, which NEP 19 guarantees; the tests compare every
-row stream against :func:`substream`.
+derives the Philox keys of all rows at once (:func:`row_keys`), by
+repeating the ``SeedSequence`` hash in vectorized ``uint32`` arithmetic,
+and re-keys a single generator per row (:func:`keyed_generator`) instead
+of building a ``SeedSequence`` and a ``Philox`` for each.  Threads that
+draw rows at once each re-key a generator of their own from the same
+keys, so which thread draws a row never changes its draws.  This relies
+on ``SeedSequence`` output being stable across numpy versions, which NEP
+19 guarantees; the tests compare every row stream against
+:func:`substream`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
-__all__ = ["substream", "row_streams", "derive_seed"]
+__all__ = ["substream", "row_keys", "keyed_generator", "row_streams", "derive_seed"]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -54,7 +57,7 @@ def _words(value: int) -> list[int]:
     return [value & _M32, value >> 32] if value >> 32 else [value]
 
 
-def _row_keys(seed: int, ids: tuple[int, ...], rows: int) -> np.ndarray:
+def row_keys(seed: int, *ids: int, rows: int) -> np.ndarray:
     """Philox keys (rows, 2) of ``substream(seed, *ids, i)`` for ``i < rows``.
 
     Mirrors ``SeedSequence(entropy=seed, spawn_key=(*ids, i))``: the
@@ -64,6 +67,8 @@ def _row_keys(seed: int, ids: tuple[int, ...], rows: int) -> np.ndarray:
     one-element arrays that broadcast against the row indices.
     """
 
+    if not 0 <= rows <= 1 << 32:
+        raise ValueError(f"rows must lie in [0, 2**32], got {rows}")
     run = _words(seed)
     words = run + [0] * (_POOL - len(run)) + [w for i in ids for w in _words(i)]
     entropy = [np.array([w], dtype=np.uint64) for w in words]
@@ -103,6 +108,28 @@ def _row_keys(seed: int, ids: tuple[int, ...], rows: int) -> np.ndarray:
     return np.column_stack([low, high])
 
 
+def keyed_generator(keys: np.ndarray) -> Callable[[int], np.random.Generator]:
+    """Return ``open_row``: ``open_row(i)`` is a generator keyed ``keys[i]``.
+
+    The generator is one Philox generator of this call's own, re-keyed
+    in place and in exactly the state ``substream`` returns for the
+    stream whose key is ``keys[i]`` (see :func:`row_keys`), so it draws
+    the same variates.  Use it before opening the next row; threads that
+    draw rows at once each take an ``open_row`` of their own.
+    """
+
+    bitgen = np.random.Philox(counter=0, key=0)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # counter zero, buffer empty
+
+    def open_row(i: int) -> np.random.Generator:
+        state["state"]["key"] = keys[i]
+        bitgen.state = state
+        return gen
+
+    return open_row
+
+
 def row_streams(seed: int, *ids: int, rows: int) -> Iterator[np.random.Generator]:
     """Yield the generator of ``substream(seed, *ids, i)`` for each ``i < rows``.
 
@@ -111,16 +138,9 @@ def row_streams(seed: int, *ids: int, rows: int) -> Iterator[np.random.Generator
     for every row: use it before asking for the next row.
     """
 
-    if not 0 <= rows <= 1 << 32:
-        raise ValueError(f"rows must lie in [0, 2**32], got {rows}")
-    keys = _row_keys(seed, ids, rows)
-    bitgen = np.random.Philox(counter=0, key=0)
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state  # counter zero, buffer empty
-    for key in keys:
-        state["state"]["key"] = key
-        bitgen.state = state
-        yield gen
+    open_row = keyed_generator(row_keys(seed, *ids, rows=rows))
+    for i in range(rows):
+        yield open_row(i)
 
 
 def derive_seed(seed: int, *ids: int) -> int:

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -17,6 +19,7 @@ from kolmo_rfn.data import (
 from kolmo_rfn.levy import (
     _CHUNK,
     CompoundPoissonSpec,
+    IncrementSampler,
     LevyTriplet,
     basket_put,
     bs_put_price,
@@ -26,7 +29,7 @@ from kolmo_rfn.levy import (
     price_mc,
     risk_neutral_gamma,
 )
-from kolmo_rfn.rng import substream
+from kolmo_rfn.rng import keyed_generator, row_keys, substream
 
 
 def gbm(vol=0.2, d=1):
@@ -171,6 +174,12 @@ class TestPdeDataset:
         (gbm(), max_call(1.0, d=1), 1.0, 2, _CHUNK + 7),
         (jump_diffusion(d=1), max_call(1.0, d=1), 1.0, 2, _CHUNK + 3),
         (gbm(), max_call(1.0, d=1), 1.0, 5, _CHUNK // 2 + 1),
+        # rows of at least _SHARED_FILL normals, shared with the helper
+        # thread: one row; a jump model over three blocks of 109 rows
+        # with a short last one; one row per block at _CHUNK // 2 paths
+        (gbm(d=2), max_call(1.0, d=2), 1.0, 1, 600),
+        (jump_diffusion(), max_call(1.0, d=2), 1.0, 250, 600),
+        (gbm(), max_call(1.0, d=1), 1.0, 3, _CHUNK // 2),
     ])
     def test_mc_labels_equal_the_per_row_reference(self, trip, po, T, n, paths):
         ds = gen_pde_dataset(trip, po, M=1.0, T=T, n=n, label_kind="mc_price", seed=21, paths=paths)
@@ -211,6 +220,8 @@ class TestPdeDataset:
 
         monkeypatch.setattr(data_module, "substream", no_draws)
         monkeypatch.setattr(data_module, "row_streams", no_draws)
+        monkeypatch.setattr(data_module, "row_keys", no_draws)
+        monkeypatch.setattr(data_module, "keyed_generator", no_draws)
         with pytest.raises(ValueError):
             gen_pde_dataset(gbm(), max_call(1.0, d=1), M=1.0, T=1.0, n=50, seed=1, **kwargs)
 
@@ -226,6 +237,135 @@ class TestPdeDataset:
                 gbm(), max_call(1.0, d=1), M=1.0, T=1.0, n=3,
                 label_kind="noisy_observation", noise_std=-0.1,
             )
+
+
+def _on_main_thread() -> bool:
+    return threading.current_thread() is threading.main_thread()
+
+
+def _force_rows(monkeypatch, helper_takes_all: bool) -> dict:
+    """Make the label helper thread draw every row of a block, or none.
+
+    Returns a dict that maps each drawn row to whether the main thread
+    drew it.
+    """
+
+    fill, init = data_module._Block.fill, data_module._Block.__init__
+    drawn = {}
+
+    def patched_init(self, *args):
+        init(self, *args)
+        self.helper_done = threading.Event()
+
+    def patched_fill(self, open_row, draw):
+        def recorded(i):
+            assert i not in drawn
+            drawn[i] = _on_main_thread()
+            return open_row(i)
+
+        if not _on_main_thread():
+            if helper_takes_all:
+                try:
+                    fill(self, recorded, draw)
+                finally:
+                    self.helper_done.set()
+            return
+        if helper_takes_all:
+            assert self.helper_done.wait(timeout=60)
+        fill(self, recorded, draw)
+
+    monkeypatch.setattr(data_module._Block, "__init__", patched_init)
+    monkeypatch.setattr(data_module._Block, "fill", patched_fill)
+    return drawn
+
+
+class TestSharedLabelKernel:
+    """Label rows drawn by the caller's thread and one helper thread."""
+
+    @pytest.mark.parametrize("trip,po", [
+        (gbm(d=2), max_call(1.0, d=2)),
+        (jump_diffusion(), max_call(1.0, d=2)),
+    ])
+    @pytest.mark.parametrize("helper_takes_all", [True, False])
+    def test_any_split_of_rows_equals_the_per_row_reference(self, monkeypatch, trip, po, helper_takes_all):
+        drawn = _force_rows(monkeypatch, helper_takes_all)
+        before = set(threading.enumerate())
+        ds = gen_pde_dataset(trip, po, M=1.0, T=1.0, n=250, label_kind="mc_price", seed=24, paths=600)
+        assert set(threading.enumerate()) == before
+        assert drawn == {i: not helper_takes_all for i in range(250)}
+        mean, se = per_row_prices(trip, po, ds)
+        assert np.array_equal(ds.Y, mean)
+        assert np.array_equal(ds.label_se, se)
+
+    def test_threads_claim_each_row_once(self):
+        # more threads than cores on one block, switching as often as the
+        # interpreter allows: a row claimed twice or never would break the
+        # per-row draws
+        n, paths = 400, 3
+        keys = row_keys(5, 51, rows=n)
+        block = data_module._Block(0, n, np.empty((n, paths, 2)))
+        claims = []
+
+        def draw(gen, z):
+            gen.standard_normal(out=z)
+            claims.append(1)
+            return ()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=block.fill, args=(keyed_generator(keys), draw)) for _ in range(6)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+                assert not w.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(claims) == n and block.others == [()] * n
+        for i in range(n):
+            assert np.array_equal(block.z[i], substream(5, 51, i).standard_normal((paths, 2)))
+
+    def test_short_rows_stay_on_the_calling_thread(self, monkeypatch):
+        # 100 paths x 5 normals per row: below _SHARED_FILL, so no helper
+        # thread is started and each row is drawn where it is consumed
+        threads = set()
+        draw = IncrementSampler.draw
+
+        def recorded(self, rng, z):
+            threads.add(threading.current_thread())
+            return draw(self, rng, z)
+
+        monkeypatch.setattr(IncrementSampler, "draw", recorded)
+        assert 100 * 5 < data_module._SHARED_FILL
+        gen_pde_dataset(gbm(d=5), max_call(1.0, d=5), M=1.0, T=1.0, n=700, label_kind="mc_price", seed=2, paths=100)
+        assert threads == {threading.main_thread()}
+
+    def test_an_error_in_a_helper_row_propagates(self, monkeypatch):
+        _force_rows(monkeypatch, helper_takes_all=True)
+        draw = IncrementSampler.draw
+
+        def failing(self, rng, z):
+            if not _on_main_thread():
+                raise RuntimeError("helper row failed")
+            return draw(self, rng, z)
+
+        monkeypatch.setattr(IncrementSampler, "draw", failing)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="helper row failed"):
+            gen_pde_dataset(gbm(d=2), max_call(1.0, d=2), M=1.0, T=1.0, n=250, label_kind="mc_price", paths=600)
+        assert set(threading.enumerate()) == before
+
+    def test_an_error_in_the_caller_stops_the_helper(self, monkeypatch):
+        # block 0's payoffs fail while the helper is drawing block 1
+        def failing(payoff, s):
+            raise RuntimeError("payoff failed")
+
+        monkeypatch.setattr(data_module, "payoff_eval", failing)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="payoff failed"):
+            gen_pde_dataset(gbm(d=2), max_call(1.0, d=2), M=1.0, T=1.0, n=250, label_kind="mc_price", paths=600)
+        assert set(threading.enumerate()) == before
 
 
 class TestBasketDataset:

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kolmo_rfn.network import (
@@ -313,6 +313,25 @@ class TestDesignMatrix:
         assert (fm.values >= 0.0).all()
         raw = X @ h.A.T + h.B
         assert np.array_equal(fm.values, np.maximum(raw, 0.0))
+
+    @settings(max_examples=60, deadline=None)
+    @example(d=1, N=1, n=0, dead=0, seed=0)
+    @example(d=1, N=6, n=9, dead=3, seed=1)
+    @given(
+        d=st.integers(1, 4), N=st.integers(1, 12), n=st.integers(0, 20),
+        dead=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_one_expression_formula(self, d, N, n, dead, seed):
+        # the design is built in place (an outer product at d = 1), with
+        # the bits of the plain expression
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal(N)
+        B[:dead] = -1e3  # dead features: zero at every point below
+        h = manual_hidden(rng.standard_normal((N, d)) / rng.chisquare(3.0, (N, 1)), B)
+        X = rng.uniform(-2.0, 2.0, (n, d))
+        fm = design_matrix(h, X)
+        assert np.array_equal(fm.values, np.maximum(X @ h.A.T + h.B, 0.0))
+        assert fm.values.shape == (n, N)
 
     def test_column_mismatch_raises(self):
         h = sample_hidden_weights(SPEC, N=3, d=2, seed=1)

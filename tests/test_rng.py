@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kolmo_rfn.rng import derive_seed, row_streams, substream
+from kolmo_rfn.rng import derive_seed, keyed_generator, row_keys, row_streams, substream
 
 
 def test_same_stream_reproduces_bits():
@@ -64,6 +64,21 @@ class TestRowStreams:
     def test_row_count_is_checked(self):
         with pytest.raises(ValueError):
             next(row_streams(3, 51, rows=-1))
+        with pytest.raises(ValueError):
+            row_keys(3, 51, rows=2**32 + 1)
+
+    def test_rows_match_substream_whichever_generator_draws_them(self):
+        # threads drawing label rows at once each re-key a generator of
+        # their own: rows taken in any order by either one draw the same
+        keys = row_keys(11, 51, rows=30)
+        openers = [keyed_generator(keys), keyed_generator(keys)]
+        pick = np.random.default_rng(0)
+        for i in pick.permutation(30):
+            gen = openers[pick.integers(2)](i)
+            ref = substream(11, 51, i)
+            assert _same_state(gen.bit_generator.state, ref.bit_generator.state)
+            assert np.array_equal(gen.standard_normal(9), ref.standard_normal(9))
+            assert np.array_equal(gen.poisson(2.0, size=4), ref.poisson(2.0, size=4))
 
 
 def _same_state(a, b) -> bool:

@@ -4,7 +4,8 @@ A fresh interpreter imports ``kolmo_rfn.cli``, runs every experiment kind
 and the CLI data, weight-sampling, training and evaluation commands at
 tiny size, and then lists the scipy modules it has loaded. Checking
 ``sys.modules`` at the end also catches an import made lazily inside a
-function.
+function. The same interpreter checks that importing the package starts
+no thread and that no thread is left running once the commands return.
 """
 
 import json
@@ -53,22 +54,29 @@ EXPERIMENTS = {
 }
 
 DATA = {
+    # 600 paths x 2 normals a row: enough for label rows to be shared with a helper thread
     "pde": {
-        "kind": "pde", "model": _MODEL, "payoff": _MAX_CALL, "n": 100, "label_kind": "mc_price", "paths": 10,
+        "kind": "pde", "model": _MODEL, "payoff": _MAX_CALL, "n": 100, "label_kind": "mc_price", "paths": 600,
     },
     "basket": {"kind": "basket_put", "model": EXPERIMENTS["basket_put"]["model"], "n": 50, "paths": 10},
 }
 
 SCRIPT = """
-import json, sys
+import json, sys, threading
+alone = threading.enumerate()
 from kolmo_rfn.cli import main
+after_import = threading.enumerate()
 
 runs = json.loads(sys.argv[1])
 for argv in runs:
     code = main(argv)
     if code != 0:
         sys.exit(f"exit {code}: {argv}")
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps({
+    "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+    "started_by_import": len(after_import) - len(alone),
+    "left_running": len(threading.enumerate()) - len(alone),
+}))
 """
 
 
@@ -103,6 +111,6 @@ def test_package_runs_without_scipy(tmp_path):
         capture_output=True, text=True, timeout=300, env=env, cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"scipy": [], "started_by_import": 0, "left_running": 0}
     for name in EXPERIMENTS:
         assert (tmp_path / f"{name}.json").exists() and (tmp_path / f"{name}.csv").exists()
