@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .data import Dataset
 from .network import (
@@ -183,7 +184,9 @@ def fit_constrained(design, Y, lam: float) -> tuple[np.ndarray, FitDiagnostics]:
     The SVD is taken from the R of one Householder QR of [X | Y]
     (Chan's R-SVD): with R's leading block R_X = U_R diag(s) V' and
     last column Q'Y, X has the same s and V, and U'Y = U_R' Q'Y, so
-    only a min(n, N) x N matrix is ever decomposed.
+    only a min(n, N) x N matrix is ever decomposed. That QR is the
+    fold's own kernel: LAPACK dgeqrf factors one column-major copy of
+    [X | Y] in place.
     """
 
     if not lam > 0:
@@ -244,10 +247,22 @@ def fit_constrained(design, Y, lam: float) -> tuple[np.ndarray, FitDiagnostics]:
     return W, diag
 
 
+def _dgeqrf(rows: np.ndarray, work: np.ndarray, lwork: int) -> None:
+    m, n = rows.shape
+    tau = np.empty(min(m, n))
+    # lapack_lite takes C-contiguous arrays: the transpose of the
+    # column-major rows is one, holding the same memory
+    info = lapack_lite.dgeqrf(m, n, rows.T, m, tau, work, lwork, 0)["info"]
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dgeqrf failed with info = {info}")
+
+
 def _fold(r: np.ndarray | None, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # r and the rows [X | y] go into one column-major buffer: LAPACK reads
-    # the same column-major data a stacked copy would give it, so R has
-    # the same bits, without the stacking copies or numpy's transposing one
+    # r and the rows [X | y] go into one column-major buffer, which dgeqrf
+    # factors in place. LAPACK reads the column-major data that numpy's
+    # qr would hand it for the stacked rows, with the workspace numpy's
+    # qr asks for, so R has the same bits without the stacking copies or
+    # the two copies numpy's qr makes of its argument
     top = 0 if r is None else r.shape[0]
     N = X.shape[1]
     rows = np.empty((top + X.shape[0], N + 1), order="F")
@@ -255,7 +270,11 @@ def _fold(r: np.ndarray | None, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         rows[:top] = r
     rows[top:, :N] = X
     rows[top:, N] = y
-    return np.linalg.qr(rows, mode="r")
+    query = np.empty(1)
+    _dgeqrf(rows, query, -1)
+    lwork = max(1, rows.shape[1], int(query[0]))
+    _dgeqrf(rows, np.empty(lwork), lwork)
+    return np.triu(rows[:min(rows.shape)])
 
 
 def fold_rows(r: np.ndarray | None, design, Y) -> np.ndarray:
@@ -269,7 +288,16 @@ def fold_rows(r: np.ndarray | None, design, Y) -> np.ndarray:
     """
 
     X, y = _check_xy(design, Y)
+    if r is not None and r.shape[1] != X.shape[1] + 1:
+        raise ValueError(
+            f"R was folded from {r.shape[1] - 1} features but the design has {X.shape[1]}"
+        )
     return _fold(r, X, y)
+
+
+def _check_width(N: int, N_max: int) -> None:
+    if not 1 <= N <= N_max:
+        raise ValueError(f"width {N} is outside 1..{N_max}")
 
 
 def prefix_problem(r: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -281,9 +309,11 @@ def prefix_problem(r: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     constant. Any trainer that sees only the residual (``fit_ols``,
     ``fit_constrained``) finds the same W on it, and it has the singular
     values of those N columns, hence the same effective rank; its risk
-    is not the design's (see ``risk_from_r``).
+    is not the design's (see ``risk_from_r``). ``N`` must lie in
+    ``1..r.shape[1] - 1``: R's last column is Q'Y, not a feature.
     """
 
+    _check_width(N, r.shape[1] - 1)
     k = min(r.shape[0], N)
     return r[:k, :N], r[:k, -1]
 
@@ -402,9 +432,12 @@ def fit_widths(
     alone gets the whole design. A width whose own solve fails is
     recorded in ``failed`` (N -> message) when a dict is given and
     raises otherwise; a failed fold always raises. ``solve`` is the
-    trainer run on every width, ``fit`` unless a caller wraps it.
+    trainer run on every width, ``fit`` unless a caller wraps it. A
+    width outside ``1..hidden.N`` raises before any fold.
     """
 
+    for N in widths:
+        _check_width(N, hidden.N)
     if config.method == "sgd":
         x_train = design_matrix(hidden, data.X).values
     else:

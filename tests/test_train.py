@@ -1,8 +1,13 @@
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kolmo_rfn import train as train_module
 from kolmo_rfn.config import train_from_dict, train_to_dict
 from kolmo_rfn.data import Dataset
 from kolmo_rfn.network import (
@@ -15,6 +20,7 @@ from kolmo_rfn.network import (
 from kolmo_rfn.rng import substream
 from kolmo_rfn.train import (
     _SGD_INDEX_STREAM,
+    _SVD_RCOND,
     FitDiagnostics,
     TrainConfig,
     empirical_risk,
@@ -439,6 +445,146 @@ class TestStreamedAgainstDesign:
             fold_rows(r, [[1.0, 2.0]], [np.inf])
         with pytest.raises(ValueError, match="empty"):
             fold_rows(r, np.empty((0, 2)), [])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), n=st.integers(1, 90), n_max=st.integers(1, 12),
+        rank=st.one_of(st.none(), st.integers(1, 11)), data=st.data(),
+    )
+    def test_fold_at_random_cuts_solves_the_whole_design(self, seed, n, n_max, rank, data):
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=6))) if n > 1 else []
+        N = data.draw(st.integers(1, n_max))
+        X, y = random_instance(np.random.default_rng(seed), n, n_max, rank if rank and rank < n_max else None)
+        r = None
+        for lo, hi in zip([0, *cuts], [*cuts, n]):
+            r = fold_rows(r, X[lo:hi], y[lo:hi])
+        W_ref, _, rank_ref, _ = np.linalg.lstsq(X[:, :N], y, rcond=_SVD_RCOND)
+        res = X[:, :N] @ W_ref - y
+        W, rank_got, _, risk = fit_from_r(r, N, n, TrainConfig(method="ols"))
+        assert rank_got == rank_ref
+        assert risk == pytest.approx(float(res @ res) / n, rel=1e-10, abs=1e-20 * float(y @ y) / n)
+        assert np.linalg.norm(W - W_ref) <= 1e-10 * max(np.linalg.norm(W_ref), 1e-300)
+
+
+def stacked_qr(r, X, y):
+    """The oracle: numpy's QR of ``r`` stacked on ``[X | y]``."""
+
+    rows = np.column_stack([X, y])
+    return np.linalg.qr(rows if r is None else np.vstack([r, rows]), mode="r")
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(31)
+    cases = []
+    for n, N, rank, name in [
+        (3, 8, None, "fewer_rows_than_columns"),
+        (1, 8, None, "one_row"),
+        (9, 8, None, "square_rows"),  # [X | y] is 9 x 9
+        (10, 8, None, "one_row_more_than_columns"),
+        (40, 12, 4, "rank4_of_12"),
+        (7, 20, 3, "rank3_of_20_wide"),
+    ]:
+        cases.append(pytest.param(*random_instance(rng, n, N, rank), id=name))
+    X, y = random_instance(rng, 30, 6)
+    X[:, [1, 4]] = 0.0
+    cases.append(pytest.param(X, y, id="zero_columns"))
+    cases.append(pytest.param(np.empty((5, 0)), rng.standard_normal(5), id="no_features"))
+    X, y = random_instance(rng, 50, 9)
+    cases.append(pytest.param(X, y, id="c_ordered"))
+    cases.append(pytest.param(np.asfortranarray(X), y, id="f_ordered"))
+    cases.append(pytest.param(rng.standard_normal((50, 14))[:, :9], y, id="column_prefix_view"))
+    return cases
+
+
+class TestFoldKernel:
+    """The in-place dgeqrf fold against numpy's QR of the stacked rows."""
+
+    @pytest.mark.parametrize("X,y", _kernel_cases())
+    def test_r_has_the_bits_of_numpys_qr(self, X, y):
+        r = fold_rows(None, X, y)
+        assert np.array_equal(r, stacked_qr(None, X, y))
+        # a second block, read backwards through a negatively strided view
+        assert np.array_equal(fold_rows(r, X[::-1], y[::-1]), stacked_qr(r, X[::-1], y[::-1]))
+
+    @pytest.mark.parametrize("failing_call", [0, 1], ids=["workspace_query", "factorization"])
+    def test_a_lapack_failure_raises(self, monkeypatch, failing_call):
+        calls = []
+        real = train_module.lapack_lite.dgeqrf
+
+        def dgeqrf(*args):
+            out = real(*args)
+            if len(calls) == failing_call:
+                out["info"] = -4
+            calls.append(args[6])
+            return out
+
+        monkeypatch.setattr(train_module, "lapack_lite", SimpleNamespace(dgeqrf=dgeqrf))
+        X, y = random_instance(np.random.default_rng(2), 20, 4)
+        with pytest.raises(np.linalg.LinAlgError, match=r"dgeqrf .*info = -4"):
+            fold_rows(None, X, y)
+        assert calls[0] == -1 and len(calls) == failing_call + 1
+        hidden = sample_hidden_weights(WeightDistributionSpec(), N=4, d=1, seed=1)
+        data = make_dataset(np.linspace(-1, 1, 20)[:, None], y)
+        for cfg in (TrainConfig(method="ols"), TrainConfig(method="constrained", lam=1.0)):
+            calls.clear()
+            with pytest.raises(np.linalg.LinAlgError, match="dgeqrf"):
+                fit_widths(hidden, (2, 4), data, cfg, failed={})  # a failed fold always raises
+        calls.clear()
+        with pytest.raises(np.linalg.LinAlgError, match="dgeqrf"):
+            fit_constrained(X, y, 1.0)
+
+    def test_one_block_holds_the_design_and_one_buffer(self):
+        hidden = sample_hidden_weights(WeightDistributionSpec(), N=200, d=5, seed=8)
+        Z = np.random.default_rng(9).uniform(-1, 1, (ROW_BLOCK, 5))
+        y = Z.sum(axis=1)
+        r = fold_rows(None, design_matrix(hidden, Z[:300]), y[:300])
+        design_bytes = ROW_BLOCK * 200 * 8
+        buffer_bytes = (r.shape[0] + ROW_BLOCK) * 201 * 8
+        # one block of fit_widths's loop: numpy reports its data allocations
+        # to tracemalloc, so a copy of the block or of the buffer shows
+        tracemalloc.start()
+        try:
+            fold_rows(r, design_matrix(hidden, Z), y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= design_bytes + buffer_bytes + 2**20
+
+
+class TestWidthChecks:
+    """A width that is not a feature count of R or the hidden layer fails loudly."""
+
+    def test_prefix_problem_takes_feature_columns_only(self):
+        r = fold_rows(None, *random_instance(np.random.default_rng(3), 20, 5))
+        for N in (0, -1, 6):
+            with pytest.raises(ValueError, match=f"width {N} is outside 1..5"):
+                prefix_problem(r, N)
+        rx, qty = prefix_problem(r, 5)
+        assert rx.shape == (5, 5) and np.array_equal(qty, r[:5, 5])
+
+    def test_fold_names_both_widths(self):
+        rng = np.random.default_rng(4)
+        r = fold_rows(None, *random_instance(rng, 20, 10))
+        with pytest.raises(ValueError, match="folded from 10 features but the design has 5"):
+            fold_rows(r, *random_instance(rng, 11, 5))
+
+    @pytest.mark.parametrize(
+        "cfg", [TrainConfig(method="ols"), TrainConfig(method="sgd", lam=5.0, eta0=0.1, steps=3)],
+        ids=["fold", "sgd"],
+    )
+    @pytest.mark.parametrize("widths", [(10, 12), (0, 10)], ids=["too_wide", "zero"])
+    def test_fit_widths_rejects_a_width_before_any_fold(self, monkeypatch, cfg, widths):
+        hidden = sample_hidden_weights(WeightDistributionSpec(), N=10, d=1, seed=5)
+        data = make_dataset(np.linspace(-1, 1, 40)[:, None], np.linspace(0, 1, 40))
+
+        def no_fold(*args):
+            raise AssertionError("folded before the widths were checked")
+
+        monkeypatch.setattr(train_module, "fold_rows", no_fold)
+        monkeypatch.setattr(train_module, "design_matrix", no_fold)
+        bad = max(widths) if max(widths) > 10 else 0
+        with pytest.raises(ValueError, match=f"width {bad} is outside 1..10"):
+            fit_widths(hidden, widths, data, cfg, failed={})
 
 
 class TestProjectBall:
