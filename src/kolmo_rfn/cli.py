@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._blas import single_blas_thread
 from .config import EXPERIMENT_KINDS, ExperimentSpec, dataset_from_dict
 from .data import load_dataset, save_dataset
 from .experiments import run_experiment
@@ -92,6 +93,15 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    # every flag is checked before the data is read or a hidden layer sampled
+    if args.method == "constrained" and args.lam is None:
+        raise ValueError("--lambda is required for --method constrained (norm-ball radius)")
+    cfg = TrainConfig(
+        method=args.method, lam=args.lam, eta0=args.eta0, batch=args.batch,
+        steps=args.steps, seed=args.seed, cap=args.cap, average=args.average,
+    )
+    if args.hidden is None and args.N is None:
+        raise ValueError("pass --hidden FILE or --N to sample hidden weights")
     ds = load_dataset(args.data)
     if args.hidden is not None:
         hidden = load_model(args.hidden).hidden
@@ -100,15 +110,7 @@ def _cmd_train(args) -> int:
                 f"hidden weights expect d={hidden.d} but the data has d={ds.d}"
             )
     else:
-        if args.N is None:
-            raise ValueError("pass --hidden FILE or --N to sample hidden weights")
         hidden = sample_hidden_weights(_weight_spec(args), args.N, ds.d, args.weights_seed)
-    if args.method == "constrained" and args.lam is None:
-        raise ValueError("--lambda is required for --method constrained (norm-ball radius)")
-    cfg = TrainConfig(
-        method=args.method, lam=args.lam, eta0=args.eta0, batch=args.batch,
-        steps=args.steps, seed=args.seed, cap=args.cap, average=args.average,
-    )
     W, diag, _ = fit_widths(hidden, (hidden.N,), ds, cfg)[hidden.N]
     net = RandomFeatureNet(hidden=hidden, W=W, cap=args.cap)
     save_model(net, args.out)
@@ -229,7 +231,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with single_blas_thread():
+            return args.func(args)
     except FileNotFoundError as exc:
         missing = exc.filename if exc.filename else exc
         print(f"error: cannot read {missing}", file=sys.stderr)

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._blas import single_blas_thread
 from .config import ExperimentSpec
 from .data import Dataset, LognormalSpec, basket_weights, gen_basket_put_dataset, gen_pde_dataset
 from .fourier import (
@@ -444,4 +445,7 @@ _RUNNERS = {
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
-    return _RUNNERS[spec.kind](spec)
+    """Run the experiment ``spec`` declares, on one OpenBLAS thread."""
+
+    with single_blas_thread():
+        return _RUNNERS[spec.kind](spec)

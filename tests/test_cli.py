@@ -229,6 +229,19 @@ class TestValidationExits:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("flags, reason", [
+        (["--N", "8", "--method", "constrained"], "--lambda"),
+        (["--N", "8", "--method", "sgd", "--lambda", "5", "--steps", "3"], "eta0"),
+        (["--N", "8", "--method", "sgd", "--lambda", "5", "--eta0", "0.1"], "steps"),
+        (["--method", "ols"], "--N"),
+    ], ids=["constrained_lambda", "sgd_eta0", "sgd_steps", "hidden_or_N"])
+    def test_flag_errors_come_before_reading_the_data(self, tmp_path, capsys, flags, reason):
+        # a missing data file would exit 2: a flag error must be found first
+        code = main(["train", "--data", str(tmp_path / "ghost.csv"), *flags,
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert reason in capsys.readouterr().err
+
     def test_unknown_flag(self, capsys):
         assert main(["train", "--bogus"]) == 1
         assert "usage" in capsys.readouterr().err

@@ -6,6 +6,12 @@ tiny size, and then lists the scipy modules it has loaded. Checking
 ``sys.modules`` at the end also catches an import made lazily inside a
 function. The same interpreter checks that importing the package starts
 no thread and that no thread is left running once the commands return.
+
+Importing the package must also leave the BLAS alone: it loads no ctypes
+module beyond those numpy itself imports, and it does not look the OpenBLAS
+libraries up (that happens at the first run), so the cold start pays for
+neither. After the commands, every mapped OpenBLAS must report the thread
+count it had before them.
 """
 
 import json
@@ -64,8 +70,28 @@ DATA = {
 SCRIPT = """
 import json, sys, threading
 alone = threading.enumerate()
+import numpy
+before_import = set(sys.modules)
 from kolmo_rfn.cli import main
 after_import = threading.enumerate()
+ctypes_by_import = sorted(m for m in set(sys.modules) - before_import if "ctypes" in m)
+from kolmo_rfn import _blas
+looked_up_by_import = _blas._controls is not None
+
+
+def blas_threads():
+    import ctypes, os
+    counts = {}
+    for path in _blas._mapped_openblas():
+        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        for _, get in _blas._SYMBOLS:
+            if hasattr(lib, get):
+                counts[path] = getattr(lib, get)()
+                break
+    return counts
+
+
+threads_before = blas_threads()
 
 runs = json.loads(sys.argv[1])
 for argv in runs:
@@ -76,6 +102,9 @@ print(json.dumps({
     "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
     "started_by_import": len(after_import) - len(alone),
     "left_running": len(threading.enumerate()) - len(alone),
+    "ctypes_by_import": ctypes_by_import,
+    "looked_up_by_import": looked_up_by_import,
+    "blas_threads_restored": blas_threads() == threads_before,
 }))
 """
 
@@ -111,6 +140,9 @@ def test_package_runs_without_scipy(tmp_path):
         capture_output=True, text=True, timeout=300, env=env, cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {"scipy": [], "started_by_import": 0, "left_running": 0}
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "scipy": [], "started_by_import": 0, "left_running": 0,
+        "ctypes_by_import": [], "looked_up_by_import": False, "blas_threads_restored": True,
+    }
     for name in EXPERIMENTS:
         assert (tmp_path / f"{name}.json").exists() and (tmp_path / f"{name}.csv").exists()
