@@ -57,15 +57,15 @@ def _load_json(path) -> dict:
 
 
 @contextmanager
-def _config_fields(path):
-    """Report a bad field of the config at ``path`` as a ValueError naming the file."""
+def _file_fields(kind: str, path):
+    """Report a bad field of the ``kind`` file at ``path`` as a ValueError naming the file."""
 
     try:
         yield
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"config {path}: missing or mistyped field: {exc}") from exc
+        raise ValueError(f"{kind} {path}: missing or mistyped field: {exc}") from exc
     except ValueError as exc:
-        raise ValueError(f"config {path}: {exc}") from exc
+        raise ValueError(f"{kind} {path}: {exc}") from exc
 
 
 def _weight_spec(args) -> WeightDistributionSpec:
@@ -82,7 +82,7 @@ def _cmd_sample_weights(args) -> int:
 
 def _cmd_gen_data(args) -> int:
     doc = _load_json(args.config)
-    with _config_fields(args.config):
+    with _file_fields("config", args.config):
         out = args.out or doc.get("output")
         if out is None:
             raise ValueError("no output path: pass --out or set \"output\" in the config")
@@ -102,9 +102,11 @@ def _cmd_train(args) -> int:
     )
     if args.hidden is None and args.N is None:
         raise ValueError("pass --hidden FILE or --N to sample hidden weights")
-    ds = load_dataset(args.data)
+    with _file_fields("dataset", args.data):
+        ds = load_dataset(args.data)
     if args.hidden is not None:
-        hidden = load_model(args.hidden).hidden
+        with _file_fields("model", args.hidden):
+            hidden = load_model(args.hidden).hidden
         if hidden.d != ds.d:
             raise ValueError(
                 f"hidden weights expect d={hidden.d} but the data has d={ds.d}"
@@ -121,8 +123,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    net = load_model(args.model)
-    ds = load_dataset(args.data)
+    with _file_fields("model", args.model):
+        net = load_model(args.model)
+    with _file_fields("dataset", args.data):
+        ds = load_dataset(args.data)
     risk = empirical_risk(net, ds)
     result = {
         "n": ds.n,
@@ -143,7 +147,7 @@ def _cmd_experiment(args) -> int:
         doc["master_seed"] = args.seed
     if args.out is not None:
         doc["output"] = args.out
-    with _config_fields(args.config):
+    with _file_fields("config", args.config):
         spec = ExperimentSpec.from_dict(doc)
     kind = args.kind.replace("-", "_")
     if spec.kind != kind:

@@ -49,7 +49,7 @@ from .levy import (
     sqrt_sigma,
 )
 from .network import row_blocks
-from .rng import keyed_generator, row_keys, row_streams, substream
+from .rng import keyed_generator, row_keys, substream
 
 __all__ = [
     "Dataset",
@@ -249,7 +249,9 @@ def _mc_labels(seed: int, n: int, paths: int, width: int, draw, values, chunk: i
         total_sq[rows] += (vals * vals).sum(axis=-1)
 
     if paths > _CHUNK // 2:
-        for i, gen in enumerate(row_streams(seed, _LABEL_STREAM, rows=n)):
+        open_row = keyed_generator(row_keys(seed, _LABEL_STREAM, rows=n))
+        for i in range(n):
+            gen = open_row(i)
             for done in range(0, paths, chunk):
                 z = np.empty((1, min(chunk, paths - done), width))
                 add(slice(i, i + 1), z, [draw(gen, z[0])])

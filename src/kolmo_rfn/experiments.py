@@ -117,14 +117,6 @@ def fit_log_slope(Ns, errs, exclude_n1: bool = True) -> float:
     return float(coef[1])
 
 
-def _capped_rmse(design_values: np.ndarray, W: np.ndarray, Y: np.ndarray, cap) -> float:
-    preds = design_values @ W
-    if cap is not None:
-        np.clip(preds, -cap, cap, out=preds)
-    r = preds - Y
-    return math.sqrt(float(r @ r / Y.size))
-
-
 def _finish(spec: ExperimentSpec, columns, rows, slope, e0, extras) -> ExperimentReport:
     """Build the report and write it when the spec names an output path."""
 
@@ -196,7 +188,7 @@ def run_rate_curve(spec: ExperimentSpec, datasets: tuple[Dataset, Dataset] | Non
     try:
         # this module's fit, so wrapping experiments.fit wraps every width's solve
         solved = fit_widths(hidden, spec.N_list, train_ds, cfg, failed, solve=fit)
-        for N, e_hat in _held_out_rmse(hidden, solved, test_ds, cfg.cap).items():
+        for N, e_hat in _held_out_rmse(hidden, solved, test_ds.X, test_ds.Y, cfg.cap).items():
             fits[N] = (e_hat, *solved[N][1:])
     except _NUMERIC_FAILURES as exc:  # the R or the held-out pass failed: every width did
         for N in spec.N_list:
@@ -224,11 +216,11 @@ def run_rate_curve(spec: ExperimentSpec, datasets: tuple[Dataset, Dataset] | Non
     )
 
 
-def _held_out_rmse(hidden, solved: dict, test_ds: Dataset, cap) -> dict[int, float]:
-    """Capped held-out RMSE of every solved width, one gemm per test block.
+def _held_out_rmse(hidden, solved: dict, X: np.ndarray, Y: np.ndarray, cap) -> dict[int, float]:
+    """Capped RMSE of every solved width against ``Y`` at the points ``X``.
 
     The columns of the stack are the widths' W, zero-padded to the full
-    layer, so one product of a block's design gives every width's
+    layer, so one product of a row block's design gives every width's
     predictions.
     """
 
@@ -237,13 +229,13 @@ def _held_out_rmse(hidden, solved: dict, test_ds: Dataset, cap) -> dict[int, flo
     for j, N in enumerate(widths):
         stack[:N, j] = solved[N][0]
     sse = np.zeros(len(widths))
-    for rows in row_blocks(test_ds.n):
-        resid = design_matrix(hidden, test_ds.X[rows]).values @ stack
+    for rows in row_blocks(len(Y)):
+        resid = design_matrix(hidden, X[rows]).values @ stack
         if cap is not None:
             np.clip(resid, -cap, cap, out=resid)
-        resid -= test_ds.Y[rows, None]
+        resid -= Y[rows, None]
         sse += np.einsum("ij,ij->j", resid, resid)
-    return {N: math.sqrt(float(sse[j]) / test_ds.n) for j, N in enumerate(widths)}
+    return {N: math.sqrt(float(sse[j]) / len(Y)) for j, N in enumerate(widths)}
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +245,10 @@ def _held_out_rmse(hidden, solved: dict, test_ds: Dataset, cap) -> dict[int, flo
 def run_basket_put(spec: ExperimentSpec) -> ExperimentReport:
     """Learn put prices from strike alone; every trainer sees the same data.
 
-    For a single lognormal asset the learned curve is also scored
-    against the closed-form put prices on a strike grid.
+    Widths are fitted and scored as in a rate curve, through
+    ``fit_widths`` and the blocked held-out pass. For a single lognormal
+    asset the widest fit is also scored against the closed-form put
+    prices on a strike grid.
     """
 
     if spec.kind != "basket_put":
@@ -271,11 +265,9 @@ def run_basket_put(spec: ExperimentSpec) -> ExperimentReport:
         for n, stream in ((spec.n_train, _TRAIN_DATA), (spec.n_test, _TEST_DATA))
     )
     n_max = spec.N_list[-1]
-    hidden_full = sample_hidden_weights(
+    hidden = sample_hidden_weights(
         spec.weight_spec, n_max, 1, derive_seed(spec.master_seed, _HIDDEN)
     )
-    full_train = design_matrix(hidden_full, train_ds.X).values
-    full_test = design_matrix(hidden_full, test_ds.X).values
 
     single_asset = sampler.m == 1 and np.isclose(weights[0], 1.0)
     strike_grid = np.linspace(0.0, spec.M, spec.grid_points)
@@ -283,21 +275,20 @@ def run_basket_put(spec: ExperimentSpec) -> ExperimentReport:
         closed = bs_put_price(
             sampler.s0[0], strike_grid, math.sqrt(sampler.cov[0, 0]), sampler.T
         )
-        grid_design = design_matrix(hidden_full, strike_grid[:, None]).values
 
     rows = []
     rmse_by_method: dict[str, float] = {}
     for cfg in spec.train:
+        # this module's fit, so wrapping experiments.fit wraps every width's solve
+        solved = fit_widths(hidden, spec.N_list, train_ds, cfg, solve=fit)
+        held_out = _held_out_rmse(hidden, solved, test_ds.X, test_ds.Y, cfg.cap)
         for N in spec.N_list:
-            t0 = time.perf_counter()
-            w_n, diag_n = fit(full_train[:, :N], train_ds.Y, cfg)
-            e_hat = _capped_rmse(full_test[:, :N], w_n, test_ds.Y, cfg.cap)
-            wall = (time.perf_counter() - t0) * 1e3
-            rows.append((cfg.method, N, e_hat, diag_n.empirical_risk, wall))
-            if single_asset and N == n_max:
-                rmse_by_method[cfg.method] = _capped_rmse(
-                    grid_design, w_n, closed, cfg.cap
-                )
+            _, diag, wall_ms = solved[N]
+            rows.append((cfg.method, N, held_out[N], diag.empirical_risk, wall_ms))
+        if single_asset:
+            rmse_by_method[cfg.method] = _held_out_rmse(
+                hidden, {n_max: solved[n_max]}, strike_grid[:, None], closed, cfg.cap
+            )[n_max]
 
     methods = {cfg.method for cfg in spec.train}
     extras: dict = {"paths": spec.paths, "noise_std": spec.noise_std}

@@ -11,11 +11,11 @@ prefix reuse possible: drawing more variates from a stream never changes
 the ones already drawn.
 
 :func:`substream` is the reference definition of a stream.  For the many
-per-row streams ``(seed, ids..., i)`` of a dataset, :func:`row_streams`
-derives the Philox keys of all rows at once (:func:`row_keys`), by
-repeating the ``SeedSequence`` hash in vectorized ``uint32`` arithmetic,
-and re-keys a single generator per row (:func:`keyed_generator`) instead
-of building a ``SeedSequence`` and a ``Philox`` for each.  Threads that
+per-row streams ``(seed, ids..., i)`` of a dataset, :func:`row_keys`
+derives the Philox keys of all rows at once, by repeating the
+``SeedSequence`` hash in vectorized ``uint32`` arithmetic, and
+:func:`keyed_generator` re-keys a single generator per row instead of
+building a ``SeedSequence`` and a ``Philox`` for each.  Threads that
 draw rows at once each re-key a generator of their own from the same
 keys, so which thread draws a row never changes its draws.  This relies
 on ``SeedSequence`` output being stable across numpy versions, which NEP
@@ -25,11 +25,11 @@ on ``SeedSequence`` output being stable across numpy versions, which NEP
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
-__all__ = ["substream", "row_keys", "keyed_generator", "row_streams", "derive_seed"]
+__all__ = ["substream", "row_keys", "keyed_generator", "derive_seed"]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -128,19 +128,6 @@ def keyed_generator(keys: np.ndarray) -> Callable[[int], np.random.Generator]:
         return gen
 
     return open_row
-
-
-def row_streams(seed: int, *ids: int, rows: int) -> Iterator[np.random.Generator]:
-    """Yield the generator of ``substream(seed, *ids, i)`` for each ``i < rows``.
-
-    Each yielded generator is in exactly the state ``substream`` returns,
-    so it draws the same variates.  One generator is re-keyed in place
-    for every row: use it before asking for the next row.
-    """
-
-    open_row = keyed_generator(row_keys(seed, *ids, rows=rows))
-    for i in range(rows):
-        yield open_row(i)
 
 
 def derive_seed(seed: int, *ids: int) -> int:

@@ -15,8 +15,8 @@ The first two also run without the design: ``fold_rows`` folds row
 blocks of ``[X | Y]`` into one R factor, ``prefix_problem`` cuts from
 it a small problem with the same solutions as any leading-column
 width, and ``risk_from_r`` gives the design's empirical risk.
-``fit_widths`` runs that path (or SGD on the design) for the rate
-curve and the CLI alike.
+``fit_widths`` runs that path (or SGD on the design) for rate curves,
+basket puts and the CLI alike.
 
 The output cap, when a model carries one, acts at prediction time
 only; no trainer ever sees it.
@@ -433,7 +433,10 @@ def fit_widths(
     recorded in ``failed`` (N -> message) when a dict is given and
     raises otherwise; a failed fold always raises. ``solve`` is the
     trainer run on every width, ``fit`` unless a caller wraps it. A
-    width outside ``1..hidden.N`` raises before any fold.
+    width outside ``1..hidden.N`` raises before any fold. Its callers are
+    ``run_rate_curve`` (every width, failures recorded),
+    ``run_basket_put`` (every width per train config, failures raised)
+    and CLI ``train`` (one width, failures raised).
     """
 
     for N in widths:

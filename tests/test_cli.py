@@ -337,6 +337,37 @@ class TestValidationExits:
         assert "data_cfg.json" in err and "'strike'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["evaluate", "train"])
+    @pytest.mark.parametrize("broken, text, message", [
+        ("model", "{}", "missing or mistyped field: 'spec'"),
+        ("model", "[1, 2]", "missing or mistyped field: "),
+        ("dataset", None, "missing or mistyped field: 'label_kind'"),
+    ], ids=["model-missing-field", "model-list", "sidecar-missing-label-kind"])
+    def test_bad_model_or_dataset_file_exits_1(self, tmp_path, capsys, command, broken, text, message):
+        data, model, out = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "out.json"
+        save_dataset(Dataset(X=np.ones((3, 2)), Y=np.ones(3), label_kind="single_draw",
+                             seed=0, M=1.0, T=1.0), data)
+        assert main(["sample-weights", "--N", "4", "--d", "2", "--out", str(model)]) == 0
+        if broken == "model":
+            model.write_text(text)
+        else:
+            sidecar = Path(str(data) + ".json")
+            doc = json.loads(sidecar.read_text())
+            del doc["label_kind"]
+            sidecar.write_text(json.dumps(doc))
+        capsys.readouterr()
+        argv = {
+            "evaluate": ["evaluate", "--model", str(model), "--data", str(data)],
+            "train": ["train", "--data", str(data), "--hidden", str(model), "--method", "ols",
+                      "--out", str(out)],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        path = model if broken == "model" else data
+        assert err.startswith(f"error: {broken} {path}: {message}")
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_train_without_hidden_or_N(self, tmp_path, pde_data_config, capsys):
         data = tmp_path / "d.csv"
         main(["gen-data", "--config", str(pde_data_config), "--out", str(data)])

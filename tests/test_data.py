@@ -219,7 +219,6 @@ class TestPdeDataset:
             raise AssertionError("a stream was opened before validation")
 
         monkeypatch.setattr(data_module, "substream", no_draws)
-        monkeypatch.setattr(data_module, "row_streams", no_draws)
         monkeypatch.setattr(data_module, "row_keys", no_draws)
         monkeypatch.setattr(data_module, "keyed_generator", no_draws)
         with pytest.raises(ValueError):

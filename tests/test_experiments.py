@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from kolmo_rfn import fourier
 from kolmo_rfn.config import model_from_dict, model_to_dict
-from kolmo_rfn.data import Dataset, LognormalSpec, gen_pde_dataset
+from kolmo_rfn.data import Dataset, LognormalSpec, basket_weights, gen_basket_put_dataset, gen_pde_dataset
 from kolmo_rfn.experiments import (
     _ORACLE,
     ExperimentSpec,
@@ -23,6 +24,7 @@ from kolmo_rfn.experiments import (
 )
 from kolmo_rfn.levy import (
     LevyTriplet,
+    bs_put_price,
     equal_correlation_sigma,
     max_call,
     risk_neutral_gamma,
@@ -41,7 +43,7 @@ from kolmo_rfn.network import (
     subnetwork,
 )
 from kolmo_rfn.rng import derive_seed
-from kolmo_rfn.train import TrainConfig, empirical_risk, fit_ols
+from kolmo_rfn.train import TrainConfig, empirical_risk, fit, fit_ols
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -515,6 +517,79 @@ class TestBasketPut:
     def test_needs_lognormal_model(self):
         with pytest.raises(ValueError):
             run_basket_put(small_basket_spec(model=bs_triplet()))
+
+    @pytest.mark.parametrize("assets", [1, 2])
+    @pytest.mark.parametrize("n_train", [30, ROW_BLOCK + 905])
+    def test_rows_match_the_materialized_design(self, assets, n_train):
+        # the reference fits each width on a column prefix of the whole
+        # train design and scores it on the whole test and grid designs;
+        # 30 rows is fewer than the widest layer, ROW_BLOCK + 905 spans
+        # several blocks with a short tail, and the cap clips the ols
+        # fit's predictions near the money
+        model = LognormalSpec(s0=np.array([1.0]), cov=np.array([[0.04]]), T=1.0)
+        if assets == 2:
+            model = LognormalSpec(
+                s0=np.array([1.0, 0.9]), cov=equal_correlation_sigma(0.2, 0.3, 2), T=1.0
+            )
+        spec = small_basket_spec(
+            model=model, n_train=n_train, n_test=ROW_BLOCK + 1, N_list=(20, 50),
+            train=(
+                TrainConfig(method="ols", cap=0.05),
+                TrainConfig(method="constrained", lam=5.0),
+                TrainConfig(method="sgd", lam=100.0, eta0=0.01, steps=300, seed=4),
+            ),
+        )
+        rep = run_basket_put(spec)
+
+        weights = basket_weights(model, None)
+        train, test = (
+            gen_basket_put_dataset(model, weights, spec.M, n, seed=derive_seed(spec.master_seed, s),
+                                   paths=spec.paths)
+            for n, s in ((spec.n_train, 1), (spec.n_test, 2))
+        )
+        hidden = sample_hidden_weights(spec.weight_spec, 50, 1, derive_seed(spec.master_seed, 3))
+        full_train = design_matrix(hidden, train.X).values
+        full_test = design_matrix(hidden, test.X).values
+        grid = np.linspace(0.0, spec.M, spec.grid_points)
+        grid_design = design_matrix(hidden, grid[:, None]).values
+        closed = bs_put_price(1.0, grid, 0.2, 1.0)
+
+        def capped_rmse(design, W, Y, cap):
+            preds = design @ W
+            if cap is not None:
+                preds = np.clip(preds, -cap, cap)
+            r = preds - Y
+            return math.sqrt(float(r @ r / Y.size))
+
+        rows = iter(rep.rows)
+        for cfg in spec.train:
+            for N in spec.N_list:
+                method, width, e_hat, risk, _ = next(rows)
+                assert (method, width) == (cfg.method, N)
+                W, diag = fit(full_train[:, :N], train.Y, cfg)
+                assert risk == pytest.approx(diag.empirical_risk, rel=1e-10)
+                assert e_hat == pytest.approx(capped_rmse(full_test[:, :N], W, test.Y, cfg.cap), rel=1e-10)
+                if cfg.cap is not None:
+                    assert (np.abs(full_test[:, :N] @ W) > cfg.cap).any()
+            if assets == 1:  # W is the widest fit's
+                assert rep.extras["rmse_closed_form"][cfg.method] == pytest.approx(
+                    capped_rmse(grid_design, W, closed, cfg.cap), rel=1e-10
+                )
+        assert next(rows, None) is None
+        assert (assets == 1) == ("rmse_closed_form" in rep.extras)
+
+    def test_never_builds_the_whole_design(self):
+        # numpy reports its data allocations to tracemalloc, so a whole
+        # n x N train design (or a copy of one) shows in the peak
+        n, N = 3 * ROW_BLOCK + 2, 200
+        spec = small_basket_spec(n_train=n, n_test=100, N_list=(N,), paths=10)
+        tracemalloc.start()
+        try:
+            run_basket_put(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * N
 
 
 def small_oracle_spec(**overrides):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kolmo_rfn.rng import derive_seed, keyed_generator, row_keys, row_streams, substream
+from kolmo_rfn.rng import derive_seed, keyed_generator, row_keys, substream
 
 
 def test_same_stream_reproduces_bits():
@@ -44,26 +44,32 @@ def test_negative_seed_is_usable():
 
 
 class TestRowStreams:
-    # row_streams must reproduce substream(seed, *ids, i) exactly: the same
-    # Philox key, a zero counter, an empty buffer, hence the same draws
+    # a generator keyed from row_keys(seed, *ids, rows=n) must reproduce
+    # substream(seed, *ids, i) exactly: the same Philox key, a zero counter,
+    # an empty buffer, hence the same draws
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, -17, 0x1234_5678_9ABC_DEF0])
     @pytest.mark.parametrize("ids", [(51,), (1, 2), (2**40,), (7, 2**33 + 5)])
     def test_rows_match_substream(self, seed, ids):
-        for i, gen in enumerate(row_streams(seed, *ids, rows=40)):
+        keys = row_keys(seed, *ids, rows=40)
+        assert keys.shape == (40, 2)
+        open_row = keyed_generator(keys)
+        for i in range(40):
+            gen = open_row(i)
             ref = substream(seed, *ids, i)
             assert _same_state(gen.bit_generator.state, ref.bit_generator.state)
             assert np.array_equal(gen.standard_normal(9), ref.standard_normal(9))
             assert np.array_equal(gen.uniform(size=3), ref.uniform(size=3))
-        assert i == 39
 
     def test_zero_and_one_rows(self):
-        assert list(row_streams(3, 51, rows=0)) == []
-        (gen,) = row_streams(3, 51, rows=1)
+        assert row_keys(3, 51, rows=0).shape == (0, 2)
+        keys = row_keys(3, 51, rows=1)
+        assert keys.shape == (1, 2)
+        gen = keyed_generator(keys)(0)
         assert np.array_equal(gen.standard_normal(5), substream(3, 51, 0).standard_normal(5))
 
     def test_row_count_is_checked(self):
         with pytest.raises(ValueError):
-            next(row_streams(3, 51, rows=-1))
+            row_keys(3, 51, rows=-1)
         with pytest.raises(ValueError):
             row_keys(3, 51, rows=2**32 + 1)
 
