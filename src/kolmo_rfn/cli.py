@@ -5,7 +5,9 @@ datasets, train output weights, evaluate a saved model, and run the
 packaged experiments. Exit codes: 0 on success, 1 for validation and
 usage problems, 2 for I/O failures (missing or unreadable files), 3
 when an experiment ran but some of its widths failed (its report is
-written and each failure is named on stderr).
+written and each failure is named on stderr). The JSON the commands
+print and the reports, diagnostics and results they write are strict
+JSON: a non-finite number is written as null.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from ._blas import single_blas_thread
 from .config import EXPERIMENT_KINDS, ExperimentSpec, dataset_from_dict
 from .data import load_dataset, save_dataset
-from .experiments import run_experiment
+from .experiments import run_experiment, strict_json
 from .network import (
     RandomFeatureNet,
     WeightDistributionSpec,
@@ -117,8 +119,8 @@ def _cmd_train(args) -> int:
     net = RandomFeatureNet(hidden=hidden, W=W, cap=args.cap)
     save_model(net, args.out)
     diag_doc = diag.to_dict()
-    Path(str(args.out) + ".diag.json").write_text(json.dumps(diag_doc, indent=2) + "\n")
-    print(json.dumps({"model": str(args.out), **diag_doc}))
+    Path(str(args.out) + ".diag.json").write_text(strict_json(diag_doc, indent=2) + "\n")
+    print(strict_json({"model": str(args.out), **diag_doc}))
     return 0
 
 
@@ -135,8 +137,8 @@ def _cmd_evaluate(args) -> int:
         "e_hat": math.sqrt(risk),
     }
     if args.out:
-        Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
-    print(json.dumps(result))
+        Path(args.out).write_text(strict_json(result, indent=2) + "\n")
+    print(strict_json(result))
     return 0
 
 
@@ -167,7 +169,7 @@ def _cmd_experiment(args) -> int:
         summary["errors"] = len(errors)
     if spec.output_path:
         summary["output"] = str(Path(spec.output_path).with_suffix(".csv"))
-    print(json.dumps(summary))
+    print(strict_json(summary))
     for failure in errors:
         print(f"error: N={failure['N']}: {failure['error']}", file=sys.stderr)
     return 3 if errors else 0

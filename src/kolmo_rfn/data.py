@@ -433,6 +433,10 @@ def load_dataset(path) -> Dataset:
         body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     else:  # no rows: the header still names the columns, so d survives
         body = np.empty((0, len(header.split(","))))
+    bad = ~np.isfinite(body).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"data row {i + 1} (line {i + 2}) holds a non-finite value")
     sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
     return Dataset(
         X=body[:, :-1],

@@ -30,7 +30,7 @@ from .fourier import (
 from .levy import LevyTriplet, bs_put_price
 from .network import design_matrix, row_blocks, sample_hidden_weights
 from .rng import derive_seed
-from .train import _NUMERIC_FAILURES, fit, fit_ols, fit_sgd, fit_widths
+from .train import _NUMERIC_FAILURES, TrainConfig, fit, fit_sgd, fit_widths
 
 __all__ = [
     "ExperimentReport",
@@ -41,6 +41,7 @@ __all__ = [
     "run_sgd_vs_ols",
     "run_experiment",
     "write_report",
+    "strict_json",
 ]
 
 # substream ids under the master seed
@@ -64,8 +65,30 @@ class ExperimentReport:
     extras: dict = field(default_factory=dict)
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float, at any depth, replaced by None."""
+
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
+def strict_json(doc, **kwargs) -> str:
+    """``json.dumps`` that writes a non-finite float as null, since RFC 8259 JSON has no NaN."""
+
+    return json.dumps(_finite_or_null(doc), allow_nan=False, **kwargs)
+
+
 def write_report(report: ExperimentReport, output_path) -> tuple[Path, Path]:
-    """CSV of rows plus a JSON summary next to it."""
+    """CSV of rows plus a JSON summary next to it.
+
+    The summary is strict JSON: a NaN slope or an infinite noise floor
+    is written as null. The report itself keeps its floats.
+    """
 
     base = Path(output_path)
     base.parent.mkdir(parents=True, exist_ok=True)
@@ -90,7 +113,7 @@ def write_report(report: ExperimentReport, output_path) -> tuple[Path, Path]:
             "config": report.config,
             **report.extras,
         }
-        json_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        json_path.write_text(strict_json(summary, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write report to {base}: {exc}") from exc
     return csv_path, json_path
@@ -369,8 +392,9 @@ def _default_checkpoints(steps: int) -> tuple[int, ...]:
 def run_sgd_vs_ols(spec: ExperimentSpec) -> ExperimentReport:
     """Empirical-risk gap of SGD iterates against the OLS optimum.
 
-    One dataset, one hidden layer; SGD restarts once per sgd seed and
-    the rows hold the gap at each checkpoint averaged over those seeds.
+    One dataset, one hidden layer, whose OLS optimum comes from the fold
+    that every OLS row uses; SGD restarts once per sgd seed and the rows
+    hold the gap at each checkpoint averaged over those seeds.
     """
 
     if spec.kind != "sgd_vs_ols":
@@ -385,10 +409,10 @@ def run_sgd_vs_ols(spec: ExperimentSpec) -> ExperimentReport:
     hidden = sample_hidden_weights(
         spec.weight_spec, N, train_ds.d, derive_seed(spec.master_seed, _HIDDEN)
     )
+    _, ols_diag, _ = fit_widths(hidden, (N,), train_ds, TrainConfig(method="ols"), solve=fit)[N]
+    ols_risk = ols_diag.empirical_risk
     X = design_matrix(hidden, train_ds.X).values
     y = train_ds.Y
-    _, ols_diag = fit_ols(X, y)
-    ols_risk = ols_diag.empirical_risk
 
     steps = base_cfg.steps
     marks = spec.checkpoints if spec.checkpoints is not None else _default_checkpoints(steps)

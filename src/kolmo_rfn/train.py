@@ -15,8 +15,8 @@ The first two also run without the design: ``fold_rows`` folds row
 blocks of ``[X | Y]`` into one R factor, ``prefix_problem`` cuts from
 it a small problem with the same solutions as any leading-column
 width, and ``risk_from_r`` gives the design's empirical risk.
-``fit_widths`` runs that path (or SGD on the design) for rate curves,
-basket puts and the CLI alike.
+``fit_widths`` runs that path (or SGD on the design) for every caller,
+so ``fit_ols`` and ``fit_constrained`` never decompose a tall design.
 
 The output cap, when a model carries one, acts at prediction time
 only; no trainer ever sees it.
@@ -181,24 +181,19 @@ def fit_constrained(design, Y, lam: float) -> tuple[np.ndarray, FitDiagnostics]:
     every f evaluation: with X = U diag(s) V', f(t) is the norm of
     s_i (U'Y)_i / (s_i^2 + t).
 
-    The SVD is taken from the R of one Householder QR of [X | Y]
-    (Chan's R-SVD): with R's leading block R_X = U_R diag(s) V' and
-    last column Q'Y, X has the same s and V, and U'Y = U_R' Q'Y, so
-    only a min(n, N) x N matrix is ever decomposed. That QR is the
-    fold's own kernel: LAPACK dgeqrf factors one column-major copy of
-    [X | Y] in place.
+    The thin SVD holds an n x N ``U``, so a tall design should come
+    through ``fold_rows`` and ``prefix_problem``, as ``fit_widths``
+    sends it: the prefix problem has at most N rows and the same W.
     """
 
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
     X, y = _check_xy(design, Y)
     N = X.shape[1]
-    r = _fold(None, X, y)
-    k = min(r.shape[0], N)
-    u, s, vt = np.linalg.svd(r[:k, :N], full_matrices=False)
+    u, s, vt = np.linalg.svd(X, full_matrices=False)
     keep = s > _SVD_RCOND * s[0] if s.size and s[0] > 0 else np.zeros(s.shape, dtype=bool)
     s = s[keep]
-    c = u.T[keep] @ r[:k, N]
+    c = u.T[keep] @ y
     vt = vt[keep]
 
     def solution_coeffs(t: float) -> np.ndarray:
@@ -257,7 +252,21 @@ def _dgeqrf(rows: np.ndarray, work: np.ndarray, lwork: int) -> None:
         raise np.linalg.LinAlgError(f"LAPACK dgeqrf failed with info = {info}")
 
 
-def _fold(r: np.ndarray | None, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+def fold_rows(r: np.ndarray | None, design, Y) -> np.ndarray:
+    """Fold the rows ``[X | Y]`` into the R of a running TSQR.
+
+    ``r`` is the R factor of every row folded so far (None before the
+    first block). The R of the QR of ``r`` stacked on the new rows is
+    the R of all rows together, so a design streamed in row blocks is
+    never held whole (Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci.
+    Comput. 2012).
+    """
+
+    X, y = _check_xy(design, Y)
+    if r is not None and r.shape[1] != X.shape[1] + 1:
+        raise ValueError(
+            f"R was folded from {r.shape[1] - 1} features but the design has {X.shape[1]}"
+        )
     # r and the rows [X | y] go into one column-major buffer, which dgeqrf
     # factors in place. LAPACK reads the column-major data that numpy's
     # qr would hand it for the stacked rows, with the workspace numpy's
@@ -275,24 +284,6 @@ def _fold(r: np.ndarray | None, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     lwork = max(1, rows.shape[1], int(query[0]))
     _dgeqrf(rows, np.empty(lwork), lwork)
     return np.triu(rows[:min(rows.shape)])
-
-
-def fold_rows(r: np.ndarray | None, design, Y) -> np.ndarray:
-    """Fold the rows ``[X | Y]`` into the R of a running TSQR.
-
-    ``r`` is the R factor of every row folded so far (None before the
-    first block). The R of the QR of ``r`` stacked on the new rows is
-    the R of all rows together, so a design streamed in row blocks is
-    never held whole (Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci.
-    Comput. 2012).
-    """
-
-    X, y = _check_xy(design, Y)
-    if r is not None and r.shape[1] != X.shape[1] + 1:
-        raise ValueError(
-            f"R was folded from {r.shape[1] - 1} features but the design has {X.shape[1]}"
-        )
-    return _fold(r, X, y)
 
 
 def _check_width(N: int, N_max: int) -> None:

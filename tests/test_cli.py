@@ -368,6 +368,30 @@ class TestValidationExits:
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "train"])
+    @pytest.mark.parametrize("cell, value", [("X", np.nan), ("Y", np.inf)], ids=["nan_input", "inf_label"])
+    def test_non_finite_dataset_exits_1(self, tmp_path, capsys, command, cell, value):
+        data, model, out = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "out.json"
+        X, Y = np.ones((4, 2)), np.ones(4)
+        if cell == "X":  # data row 3 of 4 either way
+            X[2, 1] = value
+        else:
+            Y[2] = value
+        save_dataset(Dataset(X=X, Y=Y, label_kind="single_draw", seed=0, M=1.0, T=1.0), data)
+        assert main(["sample-weights", "--N", "4", "--d", "2", "--out", str(model)]) == 0
+        capsys.readouterr()
+        argv = {
+            "evaluate": ["evaluate", "--model", str(model), "--data", str(data), "--out", str(out)],
+            "train": ["train", "--data", str(data), "--hidden", str(model), "--method", "ols",
+                      "--out", str(out)],
+        }[command]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: dataset {data}: data row 3 (line 4)")
+        assert "non-finite" in captured.err and len(captured.err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_train_without_hidden_or_N(self, tmp_path, pde_data_config, capsys):
         data = tmp_path / "d.csv"
         main(["gen-data", "--config", str(pde_data_config), "--out", str(data)])

@@ -12,7 +12,10 @@ from kolmo_rfn import fourier
 from kolmo_rfn.config import model_from_dict, model_to_dict
 from kolmo_rfn.data import Dataset, LognormalSpec, basket_weights, gen_basket_put_dataset, gen_pde_dataset
 from kolmo_rfn.experiments import (
+    _HIDDEN,
     _ORACLE,
+    _TRAIN_DATA,
+    _pde_data,
     ExperimentSpec,
     fit_log_slope,
     run_basket_put,
@@ -762,6 +765,20 @@ class TestSgdVsOls:
     def test_per_seed_gaps_recorded(self):
         rep = run_sgd_vs_ols(small_sgd_spec())
         assert len(rep.extras["final_gaps"]) == 2
+
+    def test_ols_risk_matches_the_design_oracle(self):
+        spec = small_sgd_spec()
+        rep = run_sgd_vs_ols(spec)
+        train_ds = _pde_data(spec, _TRAIN_DATA, spec.n_train, spec.label_kind, spec.paths)
+        hidden = sample_hidden_weights(
+            spec.weight_spec, spec.N_list[0], train_ds.d, derive_seed(spec.master_seed, _HIDDEN)
+        )
+        _, ref = fit_ols(design_matrix(hidden, train_ds.X).values, train_ds.Y)
+        ols_risk = rep.extras["ols_risk"]
+        assert ols_risk == pytest.approx(ref.empirical_risk, rel=1e-12)
+        # the optimum is no worse than any iterate
+        assert all(ols_risk <= risk for _, _, risk, _ in rep.rows)
+        assert min(rep.extras["final_gaps"]) >= 0
 
 
 class TestWriteReport:

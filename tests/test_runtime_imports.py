@@ -12,6 +12,11 @@ module beyond those numpy itself imports, and it does not look the OpenBLAS
 libraries up (that happens at the first run), so the cold start pays for
 neither. After the commands, every mapped OpenBLAS must report the thread
 count it had before them.
+
+Everything the commands print as JSON and every ``.json`` file they write
+(reports, models, training diagnostics, dataset sidecars) must be strict
+RFC 8259 JSON, with no NaN or Infinity. A one-width rate curve (NaN slope)
+and a one-path test set (infinite label standard error) are among the runs.
 """
 
 import json
@@ -38,6 +43,15 @@ EXPERIMENTS = {
             "n_train": 300, "n_test": 20, "paths": 20, "N_list": [5, 10], "train": train,
         }
         for method, train in _TRAIN.items()
+    },
+    "rate_curve_one_width": {
+        "kind": "rate_curve", "model": _MODEL, "payoff": _MAX_CALL,
+        "n_train": 300, "n_test": 20, "paths": 20, "N_list": [5], "train": _TRAIN["ols"],
+    },
+    "rate_curve_one_test_path": {
+        "kind": "rate_curve", "model": _MODEL, "payoff": _MAX_CALL,
+        "n_train": 300, "n_test": 20, "paths": 20, "test_paths": 1, "N_list": [5, 10],
+        "train": _TRAIN["ols"],
     },
     "basket_put": {
         "kind": "basket_put", "model": {"type": "lognormal", "s0": [1.0], "cov": [[0.04]], "T": 1.0},
@@ -133,6 +147,13 @@ def _commands(tmp: Path) -> list[list[str]]:
     return runs
 
 
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def test_package_runs_without_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
@@ -140,6 +161,15 @@ def test_package_runs_without_scipy(tmp_path):
         capture_output=True, text=True, timeout=300, env=env, cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
+    printed = [line for line in proc.stdout.splitlines() if line.startswith("{")]
+    for line in printed:
+        _strict_json(line)
+    written = sorted(tmp_path.rglob("*.json"))
+    for path in written:
+        _strict_json(path.read_text())
+    # train and evaluate print one line each, experiments one more, plus the final line
+    assert len(printed) == 2 * 3 * len(DATA) + 1 + len(EXPERIMENTS) + 1
+    assert {".diag.json", ".csv.json"} <= {"".join(p.suffixes[-2:]) for p in written}
     assert json.loads(proc.stdout.splitlines()[-1]) == {
         "scipy": [], "started_by_import": 0, "left_running": 0,
         "ctypes_by_import": [], "looked_up_by_import": False, "blas_threads_restored": True,

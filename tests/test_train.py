@@ -529,9 +529,27 @@ class TestFoldKernel:
             calls.clear()
             with pytest.raises(np.linalg.LinAlgError, match="dgeqrf"):
                 fit_widths(hidden, (2, 4), data, cfg, failed={})  # a failed fold always raises
-        calls.clear()
-        with pytest.raises(np.linalg.LinAlgError, match="dgeqrf"):
-            fit_constrained(X, y, 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), n_max=st.integers(1, 170),
+        dead=st.sets(st.integers(0, 169), max_size=5), data=st.data(),
+    )
+    def test_refolding_a_prefix_problem_changes_no_bit(self, seed, n, n_max, dead, data):
+        # [R_X | Q'Y] is upper triangular, so every dgeqrf reflector is the
+        # identity (tau = 0): a second QR of the prefix problem, which the
+        # constrained fit no longer takes, could only hand back the same bits
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=4))) if n > 1 else []
+        X, y = random_instance(np.random.default_rng(seed), n, n_max)
+        X[:, [j for j in dead if j < n_max]] = 0.0  # features zero on every row, as dead ReLUs are
+        r = None
+        for lo, hi in zip([0, *cuts], [*cuts, n]):
+            r = fold_rows(r, X[lo:hi], y[lo:hi])
+        problem = prefix_problem(r, data.draw(st.integers(1, n_max)))
+        refolded = fold_rows(None, *problem)
+        stacked = np.column_stack(problem)
+        assert refolded.shape == stacked.shape
+        assert refolded.tobytes() == stacked.tobytes()
 
     def test_one_block_holds_the_design_and_one_buffer(self):
         hidden = sample_hidden_weights(WeightDistributionSpec(), N=200, d=5, seed=8)
