@@ -14,19 +14,23 @@ Inputs, label draws, and observation noise come from separate
 substreams of the dataset seed, and Monte Carlo label rows get one
 substream each, keyed by (seed, row), so generation is reproducible and
 order-independent.  Monte Carlo labels are computed in blocks of rows
-(at most ``_CHUNK // 2`` paths in all) that draw from those same per-row
-streams, so label i depends only on (seed, i): not on n, not on the
-block size, not on the thread that drew it, and bit for bit equal to
-``price_mc`` (or the ``sample_lognormal`` put average) on row i's
-stream, which the tests use as the reference.  Their standard errors
-are kept as ``Dataset.label_se``.  When a row draws at least
+(at most ``_CHUNK // 2`` paths in all, ``_SHARED_BLOCK`` when two
+threads draw them) that draw from those same per-row streams, so label
+i depends only on (seed, i): not on n, not on the block size, not on
+the thread that drew it, and bit for bit equal to ``price_mc`` (or the
+``sample_lognormal`` put average) on row i's stream, which the tests
+use as the reference.  Their standard errors are kept as
+``Dataset.label_se``.  When a row draws at least
 ``_SHARED_FILL`` normals, two threads draw rows, each row from its own
 stream: while the caller's thread turns block k into payoffs, one
 helper thread fills block k + 1, and the caller then draws the rows of
-k + 1 the helper has not claimed yet.  Two half-``_CHUNK`` buffers take
-turns, and the helper is stopped before the call returns.  Datasets
-persist as CSV (header ``x_1,...,x_d,y``) with a JSON sidecar holding
-the generation metadata.
+k + 1 the helper has not claimed yet.  Two ``_SHARED_BLOCK`` buffers
+take turns, and the helper is stopped before the call returns.  The
+caller's thread need not be the main one: a rate curve draws its test
+set on a worker thread while the main thread folds the train design,
+so such a run has three threads at work.  Datasets persist as CSV
+(header ``x_1,...,x_d,y``) with a JSON sidecar holding the generation
+metadata.
 """
 
 from __future__ import annotations
@@ -157,6 +161,12 @@ def sample_lognormal(spec: LognormalSpec, rng: np.random.Generator, size: int) -
 # about as long as its fill releases it, so a second thread slows it down
 _SHARED_FILL = 1024
 
+# path-rows of a block drawn on two threads: its label buffers then sit
+# beside a train fold's 4 096-row block without raising the run's peak
+# memory. Rows drawn on one thread keep _CHUNK // 2: basket puts, whose
+# 100-path rows take that path, slow down on smaller blocks
+_SHARED_BLOCK = 8192
+
 
 class _Block:
     """One pipeline block: rows [lo, hi) with their normals in ``z``.
@@ -186,21 +196,22 @@ class _Block:
 
 
 def _filled_blocks(seed: int, n: int, paths: int, width: int, draw, pool):
-    """Yield (rows, z, per-row draws) blocks of at most ``_CHUNK // 2`` path-rows.
+    """Yield (rows, z, per-row draws) blocks of rows, one row or more.
 
-    Row i draws from ``substream(seed, _LABEL_STREAM, i)``:
-    ``draw(generator, z)`` fills the row's normals z (paths, width) and
-    returns its other variates as a tuple of arrays.  A yielded block is
-    read only until the next one is asked for: its buffer is then filled
-    again.  With a ``pool``, two buffers take turns: the pool's one
-    thread starts filling block k + 1 before block k is yielded, and the
-    caller's thread draws the rows the helper has not claimed yet once it
-    asks for block k + 1.
+    A block holds at most ``_CHUNK // 2`` path-rows, or ``_SHARED_BLOCK``
+    with a ``pool``, unless one row alone has more.  Row i draws from
+    ``substream(seed, _LABEL_STREAM, i)``: ``draw(generator, z)`` fills
+    the row's normals z (paths, width) and returns its other variates as
+    a tuple of arrays.  A yielded block is read only until the next one
+    is asked for: its buffer is then filled again.  With a ``pool``, two
+    buffers take turns: the pool's one thread starts filling block k + 1
+    before block k is yielded, and the caller's thread draws the rows the
+    helper has not claimed yet once it asks for block k + 1.
     """
 
     keys = row_keys(seed, _LABEL_STREAM, rows=n)
     own = keyed_generator(keys)
-    per_block = min(n, (_CHUNK // 2) // paths)
+    per_block = min(n, max(1, (_SHARED_BLOCK if pool else _CHUNK // 2) // paths))
     starts = range(0, n, per_block)
     if pool is None:
         z = np.empty((per_block, paths, width))

@@ -186,34 +186,57 @@ def run_rate_curve(spec: ExperimentSpec, datasets: tuple[Dataset, Dataset] | Non
     neither design is ever built whole (SGD alone needs the train rows).
     Rows with failed fits keep their slot with a NaN error so the report
     stays one-row-per-N.
+
+    A generated test set is drawn on one worker thread while this thread
+    fits the widths: the fold's ``dgeqrf`` releases the GIL, so the
+    labels run beside it. The worker is joined before the held-out pass,
+    and an error it raised comes out of this call. Each dataset draws
+    from its own streams, so the rows are those of the same data supplied
+    through ``datasets``, which starts no worker.
     """
 
     if spec.kind != "rate_curve":
         raise ValueError(f"spec kind is {spec.kind!r}")
     if len(spec.train) != 1:
         raise ValueError("rate_curve uses exactly one train config")
-    cfg = spec.train[0]
-    if datasets is None:
-        train_ds = _pde_data(spec, _TRAIN_DATA, spec.n_train, spec.label_kind, spec.paths)
+    if datasets is not None:
+        train_ds, test_ds = datasets
+        return _rate_curve(spec, train_ds, lambda: test_ds)
+    # imported here, as in data._mc_labels: concurrent.futures brings in
+    # logging, about 10 ms of every cold start
+    from concurrent.futures import ThreadPoolExecutor
+
+    train_ds = _pde_data(spec, _TRAIN_DATA, spec.n_train, spec.label_kind, spec.paths)
+    with ThreadPoolExecutor(1) as pool:
         # held-out labels default to per-point prices so e_hat tracks the
         # distance to the target function, not the training-label noise
-        test_ds = _pde_data(
-            spec, _TEST_DATA, spec.n_test, spec.test_label_kind or "mc_price",
+        test_set = pool.submit(
+            _pde_data, spec, _TEST_DATA, spec.n_test, spec.test_label_kind or "mc_price",
             spec.test_paths or spec.paths,
         )
-    else:
-        train_ds, test_ds = datasets
+        return _rate_curve(spec, train_ds, test_set.result)
+
+
+def _rate_curve(spec: ExperimentSpec, train_ds: Dataset, test_data) -> ExperimentReport:
+    """The rate curve of ``spec`` on ``train_ds``; ``test_data()`` is called after the fits."""
+
+    cfg = spec.train[0]
     hidden = sample_hidden_weights(
         spec.weight_spec, spec.N_list[-1], train_ds.d, derive_seed(spec.master_seed, _HIDDEN)
     )
     fits: dict[int, tuple] = {}
     failed: dict[int, str] = {}
+    solved: dict = {}
     try:
         # this module's fit, so wrapping experiments.fit wraps every width's solve
         solved = fit_widths(hidden, spec.N_list, train_ds, cfg, failed, solve=fit)
+    except _NUMERIC_FAILURES as exc:  # the R failed: every width did
+        failed = dict.fromkeys(spec.N_list, str(exc))
+    test_ds = test_data()  # outside the handlers: a failed test set is not a failed width
+    try:
         for N, e_hat in _held_out_rmse(hidden, solved, test_ds.X, test_ds.Y, cfg.cap).items():
             fits[N] = (e_hat, *solved[N][1:])
-    except _NUMERIC_FAILURES as exc:  # the R or the held-out pass failed: every width did
+    except _NUMERIC_FAILURES as exc:  # the held-out pass failed: every width did
         for N in spec.N_list:
             failed.setdefault(N, str(exc))
 

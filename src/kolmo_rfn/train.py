@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.linalg import lapack_lite
 
+from . import _blas
 from .data import Dataset
 from .network import (
     FeatureMatrix,
@@ -245,9 +246,13 @@ def fit_constrained(design, Y, lam: float) -> tuple[np.ndarray, FitDiagnostics]:
 def _dgeqrf(rows: np.ndarray, work: np.ndarray, lwork: int) -> None:
     m, n = rows.shape
     tau = np.empty(min(m, n))
-    # lapack_lite takes C-contiguous arrays: the transpose of the
-    # column-major rows is one, holding the same memory
-    info = lapack_lite.dgeqrf(m, n, rows.T, m, tau, work, lwork, 0)["info"]
+    kernel = _blas.gil_free_dgeqrf()
+    if kernel is not None:
+        info = kernel(rows, tau, work, lwork)
+    else:
+        # lapack_lite takes C-contiguous arrays: the transpose of the
+        # column-major rows is one, holding the same memory
+        info = lapack_lite.dgeqrf(m, n, rows.T, m, tau, work, lwork, 0)["info"]
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK dgeqrf failed with info = {info}")
 
@@ -260,6 +265,13 @@ def fold_rows(r: np.ndarray | None, design, Y) -> np.ndarray:
     the R of all rows together, so a design streamed in row blocks is
     never held whole (Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci.
     Comput. 2012).
+
+    LAPACK ``dgeqrf`` factors the stacked rows through
+    ``_blas.gil_free_dgeqrf``, which releases the GIL, so another thread
+    (a rate curve's test labels) runs Python while a block folds; without
+    that binding it goes through ``lapack_lite.dgeqrf``, which holds the
+    GIL. The binding is the routine ``lapack_lite`` calls, so R has the
+    same bits either way.
     """
 
     X, y = _check_xy(design, Y)

@@ -2,9 +2,12 @@ import math
 import sys
 import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kolmo_rfn.data as data_module
 from kolmo_rfn.data import (
@@ -175,7 +178,7 @@ class TestPdeDataset:
         (jump_diffusion(d=1), max_call(1.0, d=1), 1.0, 2, _CHUNK + 3),
         (gbm(), max_call(1.0, d=1), 1.0, 5, _CHUNK // 2 + 1),
         # rows of at least _SHARED_FILL normals, shared with the helper
-        # thread: one row; a jump model over three blocks of 109 rows
+        # thread: one row; a jump model over twenty blocks of 13 rows
         # with a short last one; one row per block at _CHUNK // 2 paths
         (gbm(d=2), max_call(1.0, d=2), 1.0, 1, 600),
         (jump_diffusion(), max_call(1.0, d=2), 1.0, 250, 600),
@@ -292,6 +295,24 @@ class TestSharedLabelKernel:
         ds = gen_pde_dataset(trip, po, M=1.0, T=1.0, n=250, label_kind="mc_price", seed=24, paths=600)
         assert set(threading.enumerate()) == before
         assert drawn == {i: not helper_takes_all for i in range(250)}
+        mean, se = per_row_prices(trip, po, ds)
+        assert np.array_equal(ds.Y, mean)
+        assert np.array_equal(ds.label_se, se)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        model=st.sampled_from(["gbm", "jumps"]), n=st.integers(1, 40), paths=st.integers(512, 700),
+        data=st.data(),
+    )
+    def test_any_shared_block_size_gives_the_same_labels(self, model, n, paths, data):
+        # blocks of one row up to more than all n rows, cut anywhere inside a
+        # row, so the block size of the two-thread path can never move a bit
+        trip = gbm(d=2) if model == "gbm" else jump_diffusion()
+        po = max_call(1.0, d=2)
+        assert paths * 2 >= data_module._SHARED_FILL
+        block = data.draw(st.integers(1, (n + 2) * paths))
+        with mock.patch.object(data_module, "_SHARED_BLOCK", block):
+            ds = gen_pde_dataset(trip, po, M=1.0, T=1.0, n=n, label_kind="mc_price", seed=25, paths=paths)
         mean, se = per_row_prices(trip, po, ds)
         assert np.array_equal(ds.Y, mean)
         assert np.array_equal(ds.label_se, se)

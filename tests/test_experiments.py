@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -8,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kolmo_rfn import experiments as experiments_module
 from kolmo_rfn import fourier
+from kolmo_rfn import train as train_module
 from kolmo_rfn.config import model_from_dict, model_to_dict
 from kolmo_rfn.data import Dataset, LognormalSpec, basket_weights, gen_basket_put_dataset, gen_pde_dataset
 from kolmo_rfn.experiments import (
     _HIDDEN,
     _ORACLE,
+    _TEST_DATA,
     _TRAIN_DATA,
     _pde_data,
     ExperimentSpec,
@@ -459,6 +463,76 @@ class TestRateCurve:
         with pytest.raises(ValueError):
             run_rate_curve(small_rate_spec(kind="basket_put", model=LognormalSpec(
                 s0=np.array([1.0]), cov=np.array([[0.04]]), T=1.0)))
+
+
+class TestTestSetWorker:
+    """A generated test set is drawn on a worker thread while the train design folds."""
+
+    @staticmethod
+    def _recorded_pde_data(monkeypatch, fail_test_set=False):
+        """Record, per data stream, whether the main thread drew it."""
+
+        real = experiments_module._pde_data
+        on_main = {}
+
+        def recorded(spec, stream, *args):
+            on_main[stream] = threading.current_thread() is threading.main_thread()
+            if fail_test_set and stream == _TEST_DATA:
+                raise ValueError("test set failed")
+            return real(spec, stream, *args)
+
+        monkeypatch.setattr(experiments_module, "_pde_data", recorded)
+        return on_main
+
+    def test_rows_equal_those_of_the_supplied_datasets(self, monkeypatch):
+        # 600 paths x 2 normals a test row: its labels take a helper thread as well
+        spec = small_rate_spec(test_paths=600, train=(TrainConfig(method="constrained", lam=5.0),))
+        train = _pde_data(spec, _TRAIN_DATA, spec.n_train, spec.label_kind, spec.paths)
+        test = _pde_data(spec, _TEST_DATA, spec.n_test, "mc_price", spec.test_paths)
+        on_main = self._recorded_pde_data(monkeypatch)
+        before = threading.enumerate()
+        drawn = run_rate_curve(spec)
+        assert threading.enumerate() == before
+        assert on_main == {_TRAIN_DATA: True, _TEST_DATA: False}
+
+        counts = []
+        real_fit = experiments_module.fit
+
+        def counting(*args):
+            counts.append(threading.active_count())
+            return real_fit(*args)
+
+        monkeypatch.setattr(experiments_module, "fit", counting)
+        supplied = run_rate_curve(spec, datasets=(train, test))
+        assert threading.enumerate() == before
+        assert counts == [len(before)] * len(spec.N_list)  # no worker beside the fits
+        assert rows_without_wall(drawn) == rows_without_wall(supplied)
+        assert drawn.slope == supplied.slope and drawn.extras == supplied.extras
+        assert "errors" not in drawn.extras and "test_label_se_rms" in drawn.extras
+
+    def test_a_test_set_error_comes_out_of_the_run(self, monkeypatch):
+        # a ValueError, which a failed width would be recorded for, still raises
+        on_main = self._recorded_pde_data(monkeypatch, fail_test_set=True)
+        before = threading.enumerate()
+        with pytest.raises(ValueError, match="test set failed"):
+            run_rate_curve(small_rate_spec(test_paths=600))
+        assert threading.enumerate() == before
+        assert on_main == {_TRAIN_DATA: True, _TEST_DATA: False}
+
+    def test_a_failed_fold_fails_every_width(self, monkeypatch):
+        def failing(*args):
+            raise np.linalg.LinAlgError("LAPACK dgeqrf failed with info = -4")
+
+        monkeypatch.setattr(train_module, "fold_rows", failing)
+        spec = small_rate_spec(test_paths=600)
+        before = threading.enumerate()
+        rep = run_rate_curve(spec)
+        assert threading.enumerate() == before
+        assert all(math.isnan(r[1]) and math.isnan(r[2]) for r in rep.rows)
+        assert rep.extras["errors"] == [
+            {"N": N, "error": "LAPACK dgeqrf failed with info = -4"} for N in spec.N_list
+        ]
+        assert rep.extras["n_test"] == spec.n_test and rep.extras["test_label_se_rms"] > 0
 
 
 def small_basket_spec(**overrides):

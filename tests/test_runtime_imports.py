@@ -8,10 +8,13 @@ function. The same interpreter checks that importing the package starts
 no thread and that no thread is left running once the commands return.
 
 Importing the package must also leave the BLAS alone: it loads no ctypes
-module beyond those numpy itself imports, and it does not look the OpenBLAS
-libraries up (that happens at the first run), so the cold start pays for
-neither. After the commands, every mapped OpenBLAS must report the thread
-count it had before them.
+module beyond those numpy itself imports, and it looks up neither the
+OpenBLAS libraries nor the GIL-free ``dgeqrf`` (that happens at the first
+run or fold), so the cold start pays for neither. Nor does it import
+``concurrent.futures``, which brings in logging (about 10 ms); the label
+kernel and the rate curve import it when they start a thread. After the
+commands, every mapped OpenBLAS must report the thread count it had
+before them.
 
 Everything the commands print as JSON and every ``.json`` file they write
 (reports, models, training diagnostics, dataset sidecars) must be strict
@@ -89,8 +92,9 @@ before_import = set(sys.modules)
 from kolmo_rfn.cli import main
 after_import = threading.enumerate()
 ctypes_by_import = sorted(m for m in set(sys.modules) - before_import if "ctypes" in m)
+futures_by_import = "concurrent.futures" in set(sys.modules) - before_import
 from kolmo_rfn import _blas
-looked_up_by_import = _blas._controls is not None
+looked_up_by_import = _blas._controls is not None or _blas.gil_free_dgeqrf.cache_info().currsize > 0
 
 
 def blas_threads():
@@ -118,6 +122,7 @@ print(json.dumps({
     "left_running": len(threading.enumerate()) - len(alone),
     "ctypes_by_import": ctypes_by_import,
     "looked_up_by_import": looked_up_by_import,
+    "futures_by_import": futures_by_import,
     "blas_threads_restored": blas_threads() == threads_before,
 }))
 """
@@ -172,7 +177,8 @@ def test_package_runs_without_scipy(tmp_path):
     assert {".diag.json", ".csv.json"} <= {"".join(p.suffixes[-2:]) for p in written}
     assert json.loads(proc.stdout.splitlines()[-1]) == {
         "scipy": [], "started_by_import": 0, "left_running": 0,
-        "ctypes_by_import": [], "looked_up_by_import": False, "blas_threads_restored": True,
+        "ctypes_by_import": [], "looked_up_by_import": False, "futures_by_import": False,
+        "blas_threads_restored": True,
     }
     for name in EXPERIMENTS:
         assert (tmp_path / f"{name}.json").exists() and (tmp_path / f"{name}.csv").exists()

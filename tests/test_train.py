@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kolmo_rfn import _blas
 from kolmo_rfn import train as train_module
 from kolmo_rfn.config import train_from_dict, train_to_dict
 from kolmo_rfn.data import Dataset
@@ -506,29 +507,87 @@ class TestFoldKernel:
         # a second block, read backwards through a negatively strided view
         assert np.array_equal(fold_rows(r, X[::-1], y[::-1]), stacked_qr(r, X[::-1], y[::-1]))
 
+    @pytest.mark.parametrize("X,y", _kernel_cases())
+    def test_the_gil_free_dgeqrf_has_lapack_lites_bits(self, monkeypatch, X, y):
+        kernel = _blas.gil_free_dgeqrf()
+        if kernel is None:
+            pytest.skip("numpy's lapack_lite links no scipy_dgeqrf_64_")
+        stacked = np.column_stack([X, y])
+        m, n = stacked.shape
+
+        def lite(a, tau, work, lwork):
+            return train_module.lapack_lite.dgeqrf(m, n, a.T, m, tau, work, lwork, 0)["info"]
+
+        out = []
+        for dgeqrf in (kernel, lite):
+            a, tau, query = np.array(stacked, order="F"), np.empty(min(m, n)), np.empty(1)
+            assert dgeqrf(a, tau, query, -1) == 0
+            lwork = max(1, n, int(query[0]))
+            assert dgeqrf(a, tau, np.empty(lwork), lwork) == 0
+            out.append((query.tobytes(), a.tobytes(order="F"), tau.tobytes()))
+        assert out[0] == out[1]
+        # the fold through the fallback, on a first block and a strided second one
+        r = fold_rows(None, X, y)
+        again = fold_rows(r, X[::-1], y[::-1])
+        monkeypatch.setattr(_blas, "gil_free_dgeqrf", lambda: None)
+        assert fold_rows(None, X, y).tobytes() == r.tobytes()
+        assert fold_rows(r, X[::-1], y[::-1]).tobytes() == again.tobytes()
+
+    def test_the_gil_free_dgeqrf_checks_its_buffers(self):
+        kernel = _blas.gil_free_dgeqrf()
+        if kernel is None:
+            pytest.skip("numpy's lapack_lite links no scipy_dgeqrf_64_")
+        a = np.ones((6, 3), order="F")
+        read_only = a.copy(order="F")
+        read_only.setflags(write=False)
+        for args in [
+            (np.ones((6, 3)), np.empty(3), np.empty(8), 8),  # row-major
+            (a.astype(np.float32, order="F"), np.empty(3), np.empty(8), 8),
+            (read_only, np.empty(3), np.empty(8), 8),
+            (a, np.empty(2), np.empty(8), 8),  # tau shorter than min(m, n)
+            (a, np.empty(3), np.empty(4), 8),  # work shorter than lwork
+            (a, np.empty(6)[::2], np.empty(8), 8),  # strided tau
+        ]:
+            with pytest.raises(ValueError, match="column-major float64"):
+                kernel(*args)
+        assert np.all(a == 1.0)
+
     @pytest.mark.parametrize("failing_call", [0, 1], ids=["workspace_query", "factorization"])
     def test_a_lapack_failure_raises(self, monkeypatch, failing_call):
+        # info = -4 from the binding, and from lapack_lite when there is no binding
         calls = []
-        real = train_module.lapack_lite.dgeqrf
+        real = _blas.gil_free_dgeqrf()
+        real_lite = train_module.lapack_lite.dgeqrf
 
-        def dgeqrf(*args):
-            out = real(*args)
-            if len(calls) == failing_call:
+        def gil_free(a, tau, work, lwork):
+            info = real(a, tau, work, lwork)
+            calls.append(("gil_free", lwork))
+            return -4 if len(calls) == failing_call + 1 else info
+
+        def lite(*args):
+            out = real_lite(*args)
+            calls.append(("lapack_lite", args[6]))
+            if len(calls) == failing_call + 1:
                 out["info"] = -4
-            calls.append(args[6])
             return out
 
-        monkeypatch.setattr(train_module, "lapack_lite", SimpleNamespace(dgeqrf=dgeqrf))
+        monkeypatch.setattr(train_module, "lapack_lite", SimpleNamespace(dgeqrf=lite))
         X, y = random_instance(np.random.default_rng(2), 20, 4)
-        with pytest.raises(np.linalg.LinAlgError, match=r"dgeqrf .*info = -4"):
-            fold_rows(None, X, y)
-        assert calls[0] == -1 and len(calls) == failing_call + 1
         hidden = sample_hidden_weights(WeightDistributionSpec(), N=4, d=1, seed=1)
         data = make_dataset(np.linspace(-1, 1, 20)[:, None], y)
-        for cfg in (TrainConfig(method="ols"), TrainConfig(method="constrained", lam=1.0)):
+        bindings = {"lapack_lite": None}
+        if real is not None:
+            bindings["gil_free"] = gil_free
+        for path, binding in bindings.items():
+            monkeypatch.setattr(_blas, "gil_free_dgeqrf", lambda binding=binding: binding)
             calls.clear()
-            with pytest.raises(np.linalg.LinAlgError, match="dgeqrf"):
-                fit_widths(hidden, (2, 4), data, cfg, failed={})  # a failed fold always raises
+            with pytest.raises(np.linalg.LinAlgError, match=r"dgeqrf .*info = -4"):
+                fold_rows(None, X, y)
+            assert calls[0] == (path, -1) and [p for p, _ in calls] == [path] * (failing_call + 1)
+            for cfg in (TrainConfig(method="ols"), TrainConfig(method="constrained", lam=1.0)):
+                calls.clear()
+                with pytest.raises(np.linalg.LinAlgError, match="dgeqrf"):
+                    fit_widths(hidden, (2, 4), data, cfg, failed={})  # a failed fold always raises
 
     @settings(max_examples=60, deadline=None)
     @given(
