@@ -238,7 +238,9 @@ def _filled_blocks(seed: int, n: int, paths: int, width: int, draw, pool):
         yield block.rows, block.z, block.others
 
 
-def _mc_labels(seed: int, n: int, paths: int, width: int, draw, values, chunk: int = _CHUNK):
+def _mc_labels(
+    seed: int, n: int, paths: int, width: int, draw, values, chunk: int = _CHUNK, stop=None,
+):
     """Monte Carlo means and standard errors of n label rows, by blocks.
 
     ``draw`` is as in :func:`_filled_blocks`; ``values(rows, z, *others)``
@@ -248,13 +250,17 @@ def _mc_labels(seed: int, n: int, paths: int, width: int, draw, values, chunk: i
     helper thread when a row's fill draws at least ``_SHARED_FILL``
     normals; a longer row is drawn alone, its paths in turn in blocks of
     at most ``chunk``.  Per row, the sums run in the same order and the
-    standard error uses the same formula as ``price_mc``.
+    standard error uses the same formula as ``price_mc``.  Once the
+    ``threading.Event`` ``stop`` is set, the next block raises
+    RuntimeError instead of adding its payoffs.
     """
 
     total = np.zeros(n)
     total_sq = np.zeros(n)
 
     def add(rows, z, others) -> None:
+        if stop is not None and stop.is_set():
+            raise RuntimeError("label generation was stopped")
         vals = values(rows, z, *(np.concatenate(parts) for parts in zip(*others)))
         total[rows] += vals.sum(axis=-1)
         total_sq[rows] += (vals * vals).sum(axis=-1)
@@ -294,8 +300,14 @@ def gen_pde_dataset(
     seed: int = 0,
     paths: int = 1000,
     noise_std: float = 0.0,
+    stop: threading.Event | None = None,
 ) -> Dataset:
-    """Inputs uniform on [-M, M]^d, labels per the chosen regime."""
+    """Inputs uniform on [-M, M]^d, labels per the chosen regime.
+
+    Monte Carlo labels stop at their next block, raising RuntimeError,
+    once ``stop`` is set: a rate curve sets it when its own thread fails
+    while this runs on its worker.
+    """
 
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -327,7 +339,7 @@ def gen_pde_dataset(
             out += X[rows, None, :]
             return payoff_eval(payoff, np.exp(out, out=out))
 
-        Y, se = _mc_labels(seed, n, paths, d, sampler.draw, values)
+        Y, se = _mc_labels(seed, n, paths, d, sampler.draw, values, stop=stop)
     kwargs = {"paths": paths, "label_se": se}
     if label_kind == "noisy_observation":
         if noise_std > 0:

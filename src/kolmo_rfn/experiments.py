@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -30,7 +31,7 @@ from .fourier import (
 from .levy import LevyTriplet, bs_put_price
 from .network import design_matrix, row_blocks, sample_hidden_weights
 from .rng import derive_seed
-from .train import _NUMERIC_FAILURES, TrainConfig, fit, fit_sgd, fit_widths
+from .train import _NUMERIC_FAILURES, TrainConfig, fit, fit_sgd, fit_widths, fold_features
 
 __all__ = [
     "ExperimentReport",
@@ -159,7 +160,9 @@ def _finish(spec: ExperimentSpec, columns, rows, slope, e0, extras) -> Experimen
     return report
 
 
-def _pde_data(spec: ExperimentSpec, stream: int, n: int, label_kind: str, paths: int) -> Dataset:
+def _pde_data(
+    spec: ExperimentSpec, stream: int, n: int, label_kind: str, paths: int, stop=None,
+) -> Dataset:
     """PDE data drawn from substream ``stream`` of the master seed."""
 
     if not isinstance(spec.model, LevyTriplet) or spec.payoff is None:
@@ -167,7 +170,7 @@ def _pde_data(spec: ExperimentSpec, stream: int, n: int, label_kind: str, paths:
     return gen_pde_dataset(
         spec.model, spec.payoff, spec.M, spec.T, n,
         label_kind=label_kind, seed=derive_seed(spec.master_seed, stream),
-        paths=paths, noise_std=spec.noise_std,
+        paths=paths, noise_std=spec.noise_std, stop=stop,
     )
 
 
@@ -190,7 +193,10 @@ def run_rate_curve(spec: ExperimentSpec, datasets: tuple[Dataset, Dataset] | Non
     A generated test set is drawn on one worker thread while this thread
     fits the widths: the fold's ``dgeqrf`` releases the GIL, so the
     labels run beside it. The worker is joined before the held-out pass,
-    and an error it raised comes out of this call. Each dataset draws
+    and an error it raised comes out of this call. When this thread
+    raises (a fit error or Ctrl-C), the worker stops at its next label
+    block, so the error comes out without waiting for the whole test
+    set. Each dataset draws
     from its own streams, so the rows are those of the same data supplied
     through ``datasets``, which starts no worker.
     """
@@ -207,14 +213,19 @@ def run_rate_curve(spec: ExperimentSpec, datasets: tuple[Dataset, Dataset] | Non
     from concurrent.futures import ThreadPoolExecutor
 
     train_ds = _pde_data(spec, _TRAIN_DATA, spec.n_train, spec.label_kind, spec.paths)
+    stop = threading.Event()
     with ThreadPoolExecutor(1) as pool:
         # held-out labels default to per-point prices so e_hat tracks the
         # distance to the target function, not the training-label noise
         test_set = pool.submit(
             _pde_data, spec, _TEST_DATA, spec.n_test, spec.test_label_kind or "mc_price",
-            spec.test_paths or spec.paths,
+            spec.test_paths or spec.paths, stop,
         )
-        return _rate_curve(spec, train_ds, test_set.result)
+        try:
+            return _rate_curve(spec, train_ds, test_set.result)
+        except BaseException:
+            stop.set()  # leaving the pool joins the worker, which now ends at its next block
+            raise
 
 
 def _rate_curve(spec: ExperimentSpec, train_ds: Dataset, test_data) -> ExperimentReport:
@@ -292,7 +303,9 @@ def run_basket_put(spec: ExperimentSpec) -> ExperimentReport:
     """Learn put prices from strike alone; every trainer sees the same data.
 
     Widths are fitted and scored as in a rate curve, through
-    ``fit_widths`` and the blocked held-out pass. For a single lognormal
+    ``fit_widths`` and the blocked held-out pass. The train rows are
+    folded once, and every least-squares config solves from that R; SGD
+    gets the design. For a single lognormal
     asset the widest fit is also scored against the closed-form put
     prices on a strike grid.
     """
@@ -324,9 +337,12 @@ def run_basket_put(spec: ExperimentSpec) -> ExperimentReport:
 
     rows = []
     rmse_by_method: dict[str, float] = {}
+    r = None
     for cfg in spec.train:
+        if cfg.method != "sgd" and r is None:
+            r = fold_features(hidden, train_ds)
         # this module's fit, so wrapping experiments.fit wraps every width's solve
-        solved = fit_widths(hidden, spec.N_list, train_ds, cfg, solve=fit)
+        solved = fit_widths(hidden, spec.N_list, train_ds, cfg, solve=fit, r=r)
         held_out = _held_out_rmse(hidden, solved, test_ds.X, test_ds.Y, cfg.cap)
         for N in spec.N_list:
             _, diag, wall_ms = solved[N]

@@ -38,6 +38,7 @@ __all__ = [
     "predict",
     "design_matrix",
     "ROW_BLOCK",
+    "ROW_PIECE",
     "row_blocks",
     "save_model",
     "load_model",
@@ -59,6 +60,16 @@ _A_NORMAL, _A_CHI, _B_NORMAL, _B_CHI = 0, 1, 2, 3
 # 0.69 s for the whole design; 4 096 keeps most of the memory saving at
 # no time cost
 ROW_BLOCK = 4096
+
+# design rows built at once where a block's design is built piece by
+# piece: into the TSQR fold buffer (train) and before each product of
+# ``predict``. A multiple of 4, so each piece follows the ``row_blocks``
+# rule. On OpenBLAS 0.3.31 (Haswell kernel) a piece's features have the
+# bits of the whole block's at d = 1, and at d = 2, 5, 20 and 50 (the d
+# swept) for N <= 192 (but N = 2, 3 at d = 50) or N a multiple of 8;
+# past 192 features the gemm rounds the last N mod 8 features of some
+# rows of a block differently, by a few ulp
+ROW_PIECE = 512
 
 
 @dataclass(frozen=True)
@@ -232,16 +243,17 @@ def _rows(hidden: HiddenWeights, X) -> np.ndarray:
     return arr
 
 
-def row_blocks(n: int) -> list[slice]:
-    """Slices of ``ROW_BLOCK`` rows that cover ``range(n)`` in order.
+def row_blocks(n: int, size: int = ROW_BLOCK) -> list[slice]:
+    """Slices of ``size`` rows (a multiple of 4) that cover ``range(n)`` in order.
 
-    A remainder of fewer than 4 rows joins the block before it. OpenBLAS
-    computes a matrix-vector product in groups of 4 rows and treats a
-    short product differently, so with this cut each block's product
-    has the bits the whole product has on one BLAS thread.
+    The last slice ends at ``n``. A remainder of fewer than 4 rows joins
+    the slice before it. OpenBLAS computes a matrix-vector product in
+    groups of 4 rows and treats a short product differently, so with this
+    cut each slice's product has the bits the whole product has on one
+    BLAS thread. ``size`` is ``ROW_BLOCK`` or ``ROW_PIECE``.
     """
 
-    blocks = [slice(i, i + ROW_BLOCK) for i in range(0, n, ROW_BLOCK)]
+    blocks = [slice(i, min(i + size, n)) for i in range(0, n, size)]
     if len(blocks) > 1 and n - blocks[-1].start < 4:
         blocks[-2:] = [slice(blocks[-2].start, n)]
     return blocks
@@ -262,15 +274,16 @@ def design_matrix(hidden: HiddenWeights, X) -> FeatureMatrix:
 def predict(net: RandomFeatureNet, X) -> np.ndarray:
     """Vector of network values at the rows of X (cap applied if set).
 
-    The design is built ``ROW_BLOCK`` rows at a time (``row_blocks``),
-    so memory grows with ``ROW_BLOCK * N`` and not with the number of
+    The design is built ``ROW_PIECE`` rows at a time (``row_blocks``),
+    so memory grows with ``ROW_PIECE * N`` and not with the number of
     points. Each value matches the whole design's product to rounding,
-    and bit for bit up to ``ROW_BLOCK + 3`` points or on one BLAS thread.
+    and bit for bit on one BLAS thread wherever the pieces' features
+    have the whole design's bits (see ``ROW_PIECE``).
     """
 
     arr = _rows(net.hidden, X)
     vals = np.empty(arr.shape[0])
-    for rows in row_blocks(arr.shape[0]):
+    for rows in row_blocks(arr.shape[0], ROW_PIECE):
         vals[rows] = design_matrix(net.hidden, arr[rows]).values @ net.W
     if net.cap is not None:
         np.clip(vals, -net.cap, net.cap, out=vals)

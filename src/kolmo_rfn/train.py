@@ -11,12 +11,15 @@ together with diagnostics.
   with ``W = (X'X + Lambda I)^{-1} X'Y``.
 * ``fit_sgd``: projected mini-batch SGD with step size eta0/sqrt(t).
 
-The first two also run without the design: ``fold_rows`` folds row
-blocks of ``[X | Y]`` into one R factor, ``prefix_problem`` cuts from
-it a small problem with the same solutions as any leading-column
-width, and ``risk_from_r`` gives the design's empirical risk.
-``fit_widths`` runs that path (or SGD on the design) for every caller,
-so ``fit_ols`` and ``fit_constrained`` never decompose a tall design.
+The first two also run without the design: ``fold_features`` folds
+the rows ``[X | Y]`` of a hidden layer's design into one R factor,
+building each block's features inside the fold's own buffer,
+``prefix_problem`` cuts from it a small problem with the same solutions
+as any leading-column width, and ``risk_from_r`` gives the design's
+empirical risk. ``fit_widths`` runs that path (or SGD on the design)
+for every caller, so ``fit_ols`` and ``fit_constrained`` never
+decompose a tall design. ``fold_rows`` folds a design handed to it, the
+reference ``fold_features`` is tested against.
 
 The output cap, when a model carries one, acts at prediction time
 only; no trainer ever sees it.
@@ -34,6 +37,7 @@ from numpy.linalg import lapack_lite
 from . import _blas
 from .data import Dataset
 from .network import (
+    ROW_PIECE,
     FeatureMatrix,
     HiddenWeights,
     RandomFeatureNet,
@@ -49,6 +53,7 @@ __all__ = [
     "fit_ols",
     "fit_constrained",
     "fold_rows",
+    "fold_features",
     "prefix_problem",
     "risk_from_r",
     "project_ball",
@@ -257,6 +262,32 @@ def _dgeqrf(rows: np.ndarray, work: np.ndarray, lwork: int) -> None:
         raise np.linalg.LinAlgError(f"LAPACK dgeqrf failed with info = {info}")
 
 
+def _stacked(r: np.ndarray | None, m: int, N: int) -> tuple[np.ndarray, int]:
+    """A column-major buffer of ``r`` over room for ``m`` rows of ``[X | Y]``, and its top."""
+
+    top = 0 if r is None else r.shape[0]
+    rows = np.empty((top + m, N + 1), order="F")
+    if r is not None:
+        rows[:top] = r
+    return rows, top
+
+
+def _factor(rows: np.ndarray) -> np.ndarray:
+    """R of the stacked ``rows``, which LAPACK ``dgeqrf`` factors in place.
+
+    LAPACK reads the column-major data that numpy's qr would hand it for
+    the stacked rows, with the workspace numpy's qr asks for, so R has
+    the same bits without the stacking copies or the two copies numpy's
+    qr makes of its argument.
+    """
+
+    query = np.empty(1)
+    _dgeqrf(rows, query, -1)
+    lwork = max(1, rows.shape[1], int(query[0]))
+    _dgeqrf(rows, np.empty(lwork), lwork)
+    return np.triu(rows[:min(rows.shape)])
+
+
 def fold_rows(r: np.ndarray | None, design, Y) -> np.ndarray:
     """Fold the rows ``[X | Y]`` into the R of a running TSQR.
 
@@ -264,7 +295,13 @@ def fold_rows(r: np.ndarray | None, design, Y) -> np.ndarray:
     first block). The R of the QR of ``r`` stacked on the new rows is
     the R of all rows together, so a design streamed in row blocks is
     never held whole (Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci.
-    Comput. 2012).
+    Comput. 2012). ``r`` and the rows go into one column-major buffer,
+    which ``dgeqrf`` factors in place.
+
+    ``fit_widths`` folds through ``fold_features``, which builds each
+    block's features in that buffer instead of taking a design; this
+    function is the reference it is tested against, with the same
+    factorization.
 
     LAPACK ``dgeqrf`` factors the stacked rows through
     ``_blas.gil_free_dgeqrf``, which releases the GIL, so another thread
@@ -279,23 +316,44 @@ def fold_rows(r: np.ndarray | None, design, Y) -> np.ndarray:
         raise ValueError(
             f"R was folded from {r.shape[1] - 1} features but the design has {X.shape[1]}"
         )
-    # r and the rows [X | y] go into one column-major buffer, which dgeqrf
-    # factors in place. LAPACK reads the column-major data that numpy's
-    # qr would hand it for the stacked rows, with the workspace numpy's
-    # qr asks for, so R has the same bits without the stacking copies or
-    # the two copies numpy's qr makes of its argument
-    top = 0 if r is None else r.shape[0]
-    N = X.shape[1]
-    rows = np.empty((top + X.shape[0], N + 1), order="F")
-    if r is not None:
-        rows[:top] = r
-    rows[top:, :N] = X
-    rows[top:, N] = y
-    query = np.empty(1)
-    _dgeqrf(rows, query, -1)
-    lwork = max(1, rows.shape[1], int(query[0]))
-    _dgeqrf(rows, np.empty(lwork), lwork)
-    return np.triu(rows[:min(rows.shape)])
+    rows, top = _stacked(r, *X.shape)
+    rows[top:, :-1] = X
+    rows[top:, -1] = y
+    return _factor(rows)
+
+
+def fold_features(hidden: HiddenWeights, data: Dataset) -> np.ndarray:
+    """R of ``[design_matrix(hidden, data.X) | data.Y]``, folded without the design.
+
+    Each ``ROW_BLOCK``-row block is folded as ``fold_rows`` folds it, but
+    its features are built ``ROW_PIECE`` rows at a time straight into the
+    buffer ``dgeqrf`` factors, so no block design is held beside the
+    buffer. The filled rows are checked for non-finite values before
+    they are factored. Where the pieces have the bits of the whole
+    block's design (``network.ROW_PIECE``), R has the bits of
+    ``fold_rows`` over design blocks; elsewhere the gemm rounds some
+    features of a piece differently, and R agrees to rounding.
+    """
+
+    r = None
+    for block in row_blocks(data.n):
+        r = _fold_block(r, hidden, data.X[block], data.Y[block])
+    if r is None:
+        raise ValueError("cannot fit on empty data")
+    return r
+
+
+def _fold_block(r: np.ndarray | None, hidden: HiddenWeights, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``fold_rows(r, design_matrix(hidden, X), y)``, the features built in the buffer."""
+
+    rows, top = _stacked(r, y.size, hidden.N)
+    rows[top:, -1] = y
+    for piece in row_blocks(y.size, ROW_PIECE):
+        filled = rows[top + piece.start:top + piece.stop]
+        filled[:, :-1] = design_matrix(hidden, X[piece]).values
+        if not np.isfinite(filled).all():
+            raise ValueError("design and labels must be finite")
+    return _factor(rows)
 
 
 def _check_width(N: int, N_max: int) -> None:
@@ -424,34 +482,33 @@ def fit(design, Y, config: TrainConfig) -> tuple[np.ndarray, FitDiagnostics]:
 
 def fit_widths(
     hidden: HiddenWeights, widths, data: Dataset, config: TrainConfig,
-    failed: dict | None = None, solve=fit,
+    failed: dict | None = None, solve=fit, r: np.ndarray | None = None,
 ) -> dict:
     """Fit each width's leading features of ``hidden``: N -> (W, diagnostics, solve ms).
 
-    OLS and the constrained fit never build the n x N design: its
-    ``ROW_BLOCK``-row blocks are folded into one R of ``[X | Y]`` and
-    each width solves the small problem ``prefix_problem`` cuts from it,
-    with the design's risk from ``risk_from_r``. SGD samples rows, so it
-    alone gets the whole design. A width whose own solve fails is
-    recorded in ``failed`` (N -> message) when a dict is given and
-    raises otherwise; a failed fold always raises. ``solve`` is the
-    trainer run on every width, ``fit`` unless a caller wraps it. A
+    OLS and the constrained fit never build the n x N design: its rows
+    are folded into one R of ``[X | Y]`` by ``fold_features``, which
+    builds each block's features inside the fold's buffer, and each
+    width solves the small problem ``prefix_problem`` cuts from it, with
+    the design's risk from ``risk_from_r``. A caller that solves several
+    configs on one dataset passes the R it folded once as ``r``. SGD
+    samples rows, so it alone gets the whole design. A width whose own
+    solve fails is recorded in ``failed`` (N -> message) when a dict is
+    given and raises otherwise; a failed fold always raises. ``solve`` is
+    the trainer run on every width, ``fit`` unless a caller wraps it. A
     width outside ``1..hidden.N`` raises before any fold. Its callers are
     ``run_rate_curve`` (every width, failures recorded),
-    ``run_basket_put`` (every width per train config, failures raised)
-    and CLI ``train`` (one width, failures raised).
+    ``run_basket_put`` (every width per train config, one fold for all
+    of them, failures raised), ``run_sgd_vs_ols`` (the OLS optimum) and
+    CLI ``train`` (one width, failures raised).
     """
 
     for N in widths:
         _check_width(N, hidden.N)
     if config.method == "sgd":
         x_train = design_matrix(hidden, data.X).values
-    else:
-        r = None
-        for rows in row_blocks(data.n):
-            r = fold_rows(r, design_matrix(hidden, data.X[rows]), data.Y[rows])
-        if r is None:
-            raise ValueError("cannot fit on empty data")
+    elif r is None:
+        r = fold_features(hidden, data)
 
     solved = {}
     for N in widths:

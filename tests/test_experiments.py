@@ -2,6 +2,7 @@ import json
 import math
 import threading
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kolmo_rfn import experiments as experiments_module
-from kolmo_rfn import fourier
+from kolmo_rfn import fourier, levy
 from kolmo_rfn import train as train_module
 from kolmo_rfn.config import model_from_dict, model_to_dict
 from kolmo_rfn.data import Dataset, LognormalSpec, basket_weights, gen_basket_put_dataset, gen_pde_dataset
@@ -523,7 +524,7 @@ class TestTestSetWorker:
         def failing(*args):
             raise np.linalg.LinAlgError("LAPACK dgeqrf failed with info = -4")
 
-        monkeypatch.setattr(train_module, "fold_rows", failing)
+        monkeypatch.setattr(train_module, "_dgeqrf", failing)
         spec = small_rate_spec(test_paths=600)
         before = threading.enumerate()
         rep = run_rate_curve(spec)
@@ -533,6 +534,32 @@ class TestTestSetWorker:
             {"N": N, "error": "LAPACK dgeqrf failed with info = -4"} for N in spec.N_list
         ]
         assert rep.extras["n_test"] == spec.n_test and rep.extras["test_label_se_rms"] > 0
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_an_error_on_this_thread_stops_the_test_set(self, monkeypatch, error):
+        # KeyboardInterrupt stands for a Ctrl-C during the fold
+        spec = small_rate_spec(n_test=20000, test_paths=600)
+        started = threading.Event()
+        drawn = []  # one entry per test row whose paths were drawn
+        real_draw = levy.IncrementSampler.draw
+
+        def draw(sampler, gen, z):
+            drawn.append(None)
+            started.set()
+            return real_draw(sampler, gen, z)
+
+        def failing_fit(*args, **kwargs):
+            assert started.wait(30)  # the worker is drawing test labels
+            raise error("fit failed")
+
+        monkeypatch.setattr(levy.IncrementSampler, "draw", draw)
+        monkeypatch.setattr(experiments_module, "fit_widths", failing_fit)
+        before = threading.enumerate()
+        with pytest.raises(error, match="fit failed"):
+            run_rate_curve(spec)
+        assert threading.enumerate() == before
+        # the worker stopped at its next block of 13 rows instead of drawing all 20 000
+        assert 0 < len(drawn) < spec.n_test // 4
 
 
 def small_basket_spec(**overrides):
@@ -562,6 +589,31 @@ class TestBasketPut:
         assert [(r[0], r[1]) for r in rep.rows] == [
             ("ols", 20), ("ols", 40), ("constrained", 20), ("constrained", 40)
         ]
+
+    def test_one_fold_serves_every_least_squares_config(self, monkeypatch):
+        configs = (
+            TrainConfig(method="ols"),
+            TrainConfig(method="sgd", lam=5.0, eta0=0.05, steps=200),
+            TrainConfig(method="constrained", lam=0.05),
+        )
+        # two blocks a fold
+        spec = small_basket_spec(n_train=ROW_BLOCK + 100, N_list=(20, 40), train=configs)
+        folded = []
+        real_fold = train_module._fold_block
+
+        def counting(*args):
+            folded.append(None)
+            return real_fold(*args)
+
+        monkeypatch.setattr(train_module, "_fold_block", counting)
+        rep = run_basket_put(spec)
+        assert len(folded) == 2
+        alone = [run_basket_put(replace(spec, train=(cfg,))) for cfg in configs]
+        assert len(folded) == 2 + 2 + 2  # the sgd spec folds nothing
+        assert rows_without_wall(rep) == [row for one in alone for row in rows_without_wall(one)]
+        assert rep.extras["rmse_closed_form"] == {
+            cfg.method: one.extras["rmse_closed_form"][cfg.method] for cfg, one in zip(configs, alone)
+        }
 
     def test_single_asset_reports_closed_form_rmse(self):
         rep = run_basket_put(small_basket_spec())

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from kolmo_rfn.network import (
     ROW_BLOCK,
+    ROW_PIECE,
     FeatureMatrix,
     HiddenWeights,
     RandomFeatureNet,
@@ -362,6 +364,18 @@ class TestDesignMatrix:
             want = np.clip(want, -cap, cap)
         assert np.array_equal(predict(net, X), want)
 
+    def test_predict_holds_one_piece_of_the_design(self):
+        h = sample_hidden_weights(SPEC, N=200, d=5, seed=17)
+        net = RandomFeatureNet(hidden=h, W=np.ones(200))
+        X = np.random.default_rng(25).uniform(-1, 1, size=(ROW_BLOCK, 5))
+        tracemalloc.start()
+        try:
+            predict(net, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ROW_PIECE * 200 * 8 + 2**20  # a 4 096 x 200 block is 6.5 MB
+
     def test_predict_over_several_blocks(self):
         # past one block the bits follow BLAS's own row split, so this is
         # a rounding-level contract
@@ -374,11 +388,13 @@ class TestDesignMatrix:
 
     @pytest.mark.parametrize("n", [0, 1, 5, ROW_BLOCK, ROW_BLOCK + 3, ROW_BLOCK + 4, 3 * ROW_BLOCK + 2])
     def test_row_blocks_cover_rows_in_order(self, n):
-        blocks = row_blocks(n)
-        assert [i for b in blocks for i in range(n)[b]] == list(range(n))
-        sizes = [len(range(n)[b]) for b in blocks]
-        assert all(size % 4 == 0 for size in sizes[:-1])
-        assert len(sizes) <= 1 or sizes[-1] >= 4  # a short remainder joins its neighbour
+        for size in (ROW_BLOCK, ROW_PIECE):
+            blocks = row_blocks(n, size)
+            assert all(b.stop <= n for b in blocks)
+            assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(n))
+            sizes = [b.stop - b.start for b in blocks]
+            assert all(s == size for s in sizes[:-1])
+            assert len(sizes) <= 1 or sizes[-1] >= 4  # a short remainder joins its neighbour
 
     # a fixed budget, and no deadline: a loaded machine must not fail a property
     @settings(max_examples=60, deadline=None)

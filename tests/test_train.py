@@ -13,9 +13,12 @@ from kolmo_rfn.config import train_from_dict, train_to_dict
 from kolmo_rfn.data import Dataset
 from kolmo_rfn.network import (
     ROW_BLOCK,
+    ROW_PIECE,
+    HiddenWeights,
     RandomFeatureNet,
     WeightDistributionSpec,
     design_matrix,
+    row_blocks,
     sample_hidden_weights,
 )
 from kolmo_rfn.rng import substream
@@ -30,6 +33,7 @@ from kolmo_rfn.train import (
     fit_ols,
     fit_sgd,
     fit_widths,
+    fold_features,
     fold_rows,
     prefix_problem,
     project_ball,
@@ -627,6 +631,92 @@ class TestFoldKernel:
             tracemalloc.stop()
         assert peak <= design_bytes + buffer_bytes + 2**20
 
+    def test_a_fit_widths_block_holds_one_buffer_and_one_piece(self):
+        # two blocks: the second buffer is allocated after the first is freed
+        hidden = sample_hidden_weights(WeightDistributionSpec(), N=200, d=5, seed=8)
+        Z = np.random.default_rng(9).uniform(-1, 1, (2 * ROW_BLOCK, 5))
+        data = make_dataset(Z, Z.sum(axis=1))
+        buffer_bytes = (201 + ROW_BLOCK) * 201 * 8
+        piece_bytes = ROW_PIECE * 200 * 8
+        tracemalloc.start()
+        try:
+            fit_widths(hidden, (200,), data, TrainConfig(method="ols"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a 4 096 x 200 design block beside the buffer is 6.5 MB over this
+        assert peak < buffer_bytes + piece_bytes + 2**20
+
+
+def design_block_fold(hidden, X, y):
+    """The reference: ``fold_rows`` over each block's materialized design."""
+
+    r = None
+    for rows in row_blocks(len(y)):
+        r = fold_rows(r, design_matrix(hidden, X[rows]), y[rows])
+    return r
+
+
+def with_dead_features(hidden, dead):
+    """``hidden`` with the features in ``dead`` zero at every point: A row 0, bias -1."""
+
+    A, B = hidden.A.copy(), hidden.B.copy()
+    A[dead], B[dead] = 0.0, -1.0
+    return HiddenWeights(A=A, B=B, spec=hidden.spec, seed=hidden.seed, N=hidden.N, d=hidden.d)
+
+
+class TestFoldFeatures:
+    """The fold that builds each block's features in its dgeqrf buffer."""
+
+    # past 192 features OpenBLAS's gemm rounds the last N mod 8 features of
+    # a 512-row piece differently from those of a whole block at d >= 2
+    # (network.ROW_PIECE)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 5, 20]),
+        n=st.one_of(
+            st.integers(1, 3 * ROW_BLOCK + 5),
+            # a short remainder merged into its piece or block, and the cuts themselves
+            st.sampled_from([ROW_PIECE + 3, ROW_BLOCK, ROW_BLOCK + 3, 2 * ROW_BLOCK + 4, 3 * ROW_BLOCK + 5]),
+        ),
+        N=st.integers(1, 200).filter(lambda N: N <= 192 or N % 8 == 0),
+        dead=st.sets(st.integers(0, 199), max_size=5),
+    )
+    def test_r_has_the_bits_of_the_design_block_fold(self, seed, d, n, N, dead):
+        rng = np.random.default_rng(seed)
+        hidden = with_dead_features(
+            sample_hidden_weights(WeightDistributionSpec(), N=N, d=d, seed=seed),
+            [j for j in dead if j < N],
+        )
+        X = rng.uniform(-1, 1, (n, d))
+        data = make_dataset(X, rng.standard_normal(n))
+        assert fold_features(hidden, data).tobytes() == design_block_fold(hidden, X, data.Y).tobytes()
+
+    @pytest.mark.parametrize(
+        "d,N,n", [(50, 333, ROW_BLOCK + 700), (50, 3, 1030), (5, 333, 2 * ROW_BLOCK + 3)],
+    )
+    def test_r_agrees_to_rounding_where_a_piece_rounds_differently(self, d, N, n):
+        rng = np.random.default_rng(d + N)
+        hidden = with_dead_features(sample_hidden_weights(WeightDistributionSpec(), N=N, d=d, seed=N), [0])
+        X = rng.uniform(-1, 1, (n, d))
+        data = make_dataset(X, rng.standard_normal(n))
+        got, want = fold_features(hidden, data), design_block_fold(hidden, X, data.Y)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_a_non_finite_feature_or_label_raises(self):
+        hidden = sample_hidden_weights(WeightDistributionSpec(), N=4, d=1, seed=2)
+        X = np.linspace(-1, 1, ROW_BLOCK + 600)[:, None]
+        for where in (0, ROW_BLOCK - 1, ROW_BLOCK + 599):  # first and last piece of a block
+            bad_x, bad_y = X.copy(), np.ones(len(X))
+            bad_x[where] = np.inf
+            bad_y[ROW_BLOCK + 600 - 1 - where] = np.nan
+            for data in (make_dataset(bad_x, np.ones(len(X))), make_dataset(X, bad_y)):
+                with pytest.raises(ValueError, match="design and labels must be finite"):
+                    fold_features(hidden, data)
+        with pytest.raises(ValueError, match="cannot fit on empty data"):
+            fold_features(hidden, make_dataset(np.empty((0, 1)), np.empty(0)))
+
 
 class TestWidthChecks:
     """A width that is not a feature count of R or the hidden layer fails loudly."""
@@ -657,7 +747,7 @@ class TestWidthChecks:
         def no_fold(*args):
             raise AssertionError("folded before the widths were checked")
 
-        monkeypatch.setattr(train_module, "fold_rows", no_fold)
+        monkeypatch.setattr(train_module, "fold_features", no_fold)
         monkeypatch.setattr(train_module, "design_matrix", no_fold)
         bad = max(widths) if max(widths) > 10 else 0
         with pytest.raises(ValueError, match=f"width {bad} is outside 1..10"):
