@@ -1,6 +1,6 @@
 """numpy's OpenBLAS through ctypes: one thread per run, and a dgeqrf off the GIL.
 
-The package's least-squares fits fold 4 096-row blocks of at most a few
+The package's least-squares fits fold 2 048-row blocks of at most a few
 hundred columns through LAPACK ``dgeqrf``. At that width the panel's
 level-2 calls are slower handed between two OpenBLAS threads than run on
 one (on two cores the crossover lies near 700 columns), and a spinning

@@ -94,13 +94,39 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+# train flags (dests) that only sampled features or only SGD read; their
+# defaults are None, so a flag given tells from one left out
+_SAMPLING_FLAGS = ("N", "weights_seed", "nu", "b_dof")
+_SGD_FLAGS = ("eta0", "steps", "batch", "seed", "average")
+
+
+def _given(args, dests) -> list[str]:
+    return ["--" + d.replace("_", "-") for d in dests if getattr(args, d) is not None]
+
+
+def _unread_flags(args) -> list[str]:
+    """The train flags given that this run would ignore, each with the reason."""
+
+    unread = []
+    if args.hidden is not None:
+        unread += [f"{flag} (the hidden layer comes from --hidden)" for flag in _given(args, _SAMPLING_FLAGS)]
+    if args.method == "ols" and args.lam is not None:
+        unread.append("--lambda (--method ols has no norm ball)")
+    if args.method != "sgd":
+        unread += [f"{flag} (only --method sgd reads it)" for flag in _given(args, _SGD_FLAGS)]
+    return unread
+
+
 def _cmd_train(args) -> int:
     # every flag is checked before the data is read or a hidden layer sampled
+    unread = _unread_flags(args)
+    if unread:
+        raise ValueError("this run would ignore " + "; ".join(unread))
     if args.method == "constrained" and args.lam is None:
         raise ValueError("--lambda is required for --method constrained (norm-ball radius)")
     cfg = TrainConfig(
         method=args.method, lam=args.lam, eta0=args.eta0, batch=args.batch,
-        steps=args.steps, seed=args.seed, cap=args.cap, average=args.average,
+        steps=args.steps, seed=args.seed or 0, cap=args.cap, average=bool(args.average),
     )
     if args.hidden is None and args.N is None:
         raise ValueError("pass --hidden FILE or --N to sample hidden weights")
@@ -114,7 +140,8 @@ def _cmd_train(args) -> int:
                 f"hidden weights expect d={hidden.d} but the data has d={ds.d}"
             )
     else:
-        hidden = sample_hidden_weights(_weight_spec(args), args.N, ds.d, args.weights_seed)
+        given = {k: getattr(args, k) for k in ("nu", "b_dof") if getattr(args, k) is not None}
+        hidden = sample_hidden_weights(WeightDistributionSpec(**given), args.N, ds.d, args.weights_seed or 0)
     W, diag, _ = fit_widths(hidden, (hidden.N,), ds, cfg)[hidden.N]
     net = RandomFeatureNet(hidden=hidden, W=W, cap=args.cap)
     save_model(net, args.out)
@@ -198,17 +225,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="dataset CSV from gen-data")
     p.add_argument("--hidden", default=None, help="model JSON holding hidden weights")
     p.add_argument("--N", type=int, default=None, help="sample this many features instead")
-    p.add_argument("--weights-seed", type=int, default=0)
-    p.add_argument("--nu", type=float, default=5.0)
-    p.add_argument("--b-dof", type=float, default=2.0)
+    p.add_argument("--weights-seed", type=int, default=None, help="seed of the sampled features (0)")
+    p.add_argument("--nu", type=float, default=None, help="t dof for the sampled A rows (5)")
+    p.add_argument("--b-dof", type=float, default=None, help="t dof for the sampled biases (2)")
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--lambda", dest="lam", type=float, default=None, help="norm-ball radius")
     p.add_argument("--eta0", type=float, default=None, help="sgd step-size scale")
     p.add_argument("--batch", type=int, default=None, help="sgd minibatch size")
     p.add_argument("--steps", type=int, default=None, help="sgd iterate count")
-    p.add_argument("--seed", type=int, default=0, help="sgd sampling seed")
+    p.add_argument("--seed", type=int, default=None, help="sgd sampling seed (0)")
     p.add_argument("--cap", type=float, default=None, help="clip predictions to [-cap, cap]")
-    p.add_argument("--average", action="store_true", help="return the sgd iterate average")
+    p.add_argument("--average", action="store_true", default=None, help="return the sgd iterate average")
     p.add_argument("--out", required=True, help="model JSON path")
     p.set_defaults(func=_cmd_train)
 

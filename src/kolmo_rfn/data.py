@@ -162,7 +162,7 @@ def sample_lognormal(spec: LognormalSpec, rng: np.random.Generator, size: int) -
 _SHARED_FILL = 1024
 
 # path-rows of a block drawn on two threads: its label buffers then sit
-# beside a train fold's 4 096-row block without raising the run's peak
+# beside a train fold's block buffer without raising the run's peak
 # memory. Rows drawn on one thread keep _CHUNK // 2: basket puts, whose
 # 100-path rows take that path, slow down on smaller blocks
 _SHARED_BLOCK = 8192

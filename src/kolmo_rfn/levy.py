@@ -308,8 +308,14 @@ def simulate_levy_increment(triplet: LevyTriplet, T: float, rng, size: int | Non
         out = np.zeros((n, triplet.d))
     else:
         sampler = IncrementSampler(triplet, T)
-        z = np.empty((n, triplet.d))
-        out = sampler.increments(z, *sampler.draw(rng, z))
+        # zero rows up to whole groups of 4, and to at least 32 rows: OpenBLAS
+        # rounds the rows past its gemm's last group of 4, and a product of
+        # few rows (numpy's gemv for one), unlike the same rows of a taller
+        # product (seen at d = 50), so a jump-free row's increment does not
+        # depend on n
+        z = np.zeros((max(32, n + (-n % 4)), triplet.d))
+        jumps = sampler.draw(rng, z[:n])
+        out = sampler.increments(z[:n], *jumps) if jumps else sampler.increments(z)[:n]
     return out[0] if size is None else out
 
 

@@ -53,13 +53,22 @@ __all__ = [
 _A_NORMAL, _A_CHI, _B_NORMAL, _B_CHI = 0, 1, 2, 3
 
 # design rows per block wherever a design is streamed rather than built
-# whole (prediction, and the TSQR fold and held-out pass of train and
-# experiments). On the 2e4 x 160 desk curve (2 cores, OpenBLAS 0.3.31) a
-# whole op peaked at 107 MB in about 0.71 s with 2 048 rows, 115 MB in
-# 0.66 s with 4 096 and 139 MB in 0.59 s with 8 192, against 150 MB in
-# 0.69 s for the whole design; 4 096 keeps most of the memory saving at
-# no time cost
-ROW_BLOCK = 4096
+# whole: the held-out pass of experiments, ``save_dataset``, and the TSQR
+# fold of train, which widens its blocks past 4 (N + 1) rows (see
+# ``train._block_rows``). Folding one block of d = 50 ReLU features under
+# the R of the rows before it, on one OpenBLAS thread (OpenBLAS 0.3.31,
+# 2 shared cores), in microseconds per row, median of alternating runs:
+#
+#   N + 1   2 048 rows   4 096 rows   the fold's block
+#     161   4.9          5.4          2 048
+#     201   6.4          7.2          2 048
+#     401   17.0         18.0         2 048
+#     641   44.6-45.7    41.5-44.5    41.8-43.8 at 3 072
+#   1 281   174-200      144-172      138-164 at 5 632
+#
+# Halving the block halves the fold buffer; a block of fewer than about
+# 4 (N + 1) rows is slow beside the N + 1 rows of R stacked above it
+ROW_BLOCK = 2048
 
 # design rows built at once where a block's design is built piece by
 # piece: into the TSQR fold buffer (train) and before each product of
@@ -250,7 +259,8 @@ def row_blocks(n: int, size: int = ROW_BLOCK) -> list[slice]:
     the slice before it. OpenBLAS computes a matrix-vector product in
     groups of 4 rows and treats a short product differently, so with this
     cut each slice's product has the bits the whole product has on one
-    BLAS thread. ``size`` is ``ROW_BLOCK`` or ``ROW_PIECE``.
+    BLAS thread. ``size`` is ``ROW_BLOCK``, ``ROW_PIECE`` or the fold's
+    block of ``train._block_rows(N)`` rows, a multiple of ``ROW_PIECE``.
     """
 
     blocks = [slice(i, min(i + size, n)) for i in range(0, n, size)]

@@ -37,6 +37,7 @@ from numpy.linalg import lapack_lite
 from . import _blas
 from .data import Dataset
 from .network import (
+    ROW_BLOCK,
     ROW_PIECE,
     FeatureMatrix,
     HiddenWeights,
@@ -322,21 +323,34 @@ def fold_rows(r: np.ndarray | None, design, Y) -> np.ndarray:
     return _factor(rows)
 
 
+def _block_rows(N: int) -> int:
+    """Rows of each block ``fold_features`` folds for a layer of ``N`` features.
+
+    ``ROW_BLOCK``, or at least ``4 (N + 1)`` rows where that is more,
+    rounded up to a multiple of ``ROW_PIECE``: the N + 1 rows of R stacked
+    above a short block make its fold slow (see ``network.ROW_BLOCK``), so
+    blocks widen from N = 512 on (5 632 rows at N = 1 280).
+    """
+
+    return -(-max(ROW_BLOCK, 4 * (N + 1)) // ROW_PIECE) * ROW_PIECE
+
+
 def fold_features(hidden: HiddenWeights, data: Dataset) -> np.ndarray:
     """R of ``[design_matrix(hidden, data.X) | data.Y]``, folded without the design.
 
-    Each ``ROW_BLOCK``-row block is folded as ``fold_rows`` folds it, but
-    its features are built ``ROW_PIECE`` rows at a time straight into the
-    buffer ``dgeqrf`` factors, so no block design is held beside the
-    buffer. The filled rows are checked for non-finite values before
-    they are factored. Where the pieces have the bits of the whole
-    block's design (``network.ROW_PIECE``), R has the bits of
-    ``fold_rows`` over design blocks; elsewhere the gemm rounds some
-    features of a piece differently, and R agrees to rounding.
+    Each block of ``_block_rows(hidden.N)`` rows is folded as
+    ``fold_rows`` folds it, but its features are built ``ROW_PIECE``
+    rows at a time straight into the buffer ``dgeqrf`` factors, so no
+    block design is held beside the buffer. The filled rows are checked
+    for non-finite values before they are factored. Where the pieces have
+    the bits of the whole block's design (``network.ROW_PIECE``), R has
+    the bits of ``fold_rows`` over design blocks cut the same way;
+    elsewhere the gemm rounds some features of a piece differently, and R
+    agrees to rounding. Other cuts give the same R to rounding.
     """
 
     r = None
-    for block in row_blocks(data.n):
+    for block in row_blocks(data.n, _block_rows(hidden.N)):
         r = _fold_block(r, hidden, data.X[block], data.Y[block])
     if r is None:
         raise ValueError("cannot fit on empty data")

@@ -242,6 +242,28 @@ class TestValidationExits:
         assert code == 1
         assert reason in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, unread", [
+        (["--hidden", "h.json", "--N", "50", "--method", "ols"], "--N"),
+        (["--hidden", "h.json", "--weights-seed", "0", "--method", "ols"], "--weights-seed"),
+        (["--hidden", "h.json", "--nu", "5", "--method", "ols"], "--nu"),
+        (["--hidden", "h.json", "--b-dof", "2", "--method", "ols"], "--b-dof"),
+        (["--N", "8", "--method", "ols", "--lambda", "50"], "--lambda"),
+        (["--N", "8", "--method", "constrained", "--lambda", "5", "--eta0", "0.1"], "--eta0"),
+        (["--N", "8", "--method", "ols", "--steps", "3"], "--steps"),
+        (["--N", "8", "--method", "ols", "--batch", "4"], "--batch"),
+        (["--N", "8", "--method", "constrained", "--lambda", "5", "--seed", "0"], "--seed"),
+        (["--N", "8", "--method", "ols", "--average"], "--average"),
+    ], ids=["N", "weights_seed", "nu", "b_dof", "lambda_ols", "eta0", "steps", "batch", "seed", "average"])
+    def test_a_flag_the_run_would_ignore_exits_1(self, tmp_path, capsys, flags, unread):
+        # flags naming the default value count too; the check comes before
+        # either file is read, so neither need exist
+        flags = [str(tmp_path / f) if f == "h.json" else f for f in flags]
+        out = tmp_path / "m.json"
+        code = main(["train", "--data", str(tmp_path / "ghost.csv"), *flags, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists()
+        assert len(err.strip().splitlines()) == 1 and f"ignore {unread} (" in err
+
     def test_unknown_flag(self, capsys):
         assert main(["train", "--bogus"]) == 1
         assert "usage" in capsys.readouterr().err

@@ -6,10 +6,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kolmo_rfn.data as data_module
+from kolmo_rfn import _blas
 from kolmo_rfn.data import (
     Dataset,
     LognormalSpec,
@@ -31,6 +32,7 @@ from kolmo_rfn.levy import (
     payoff_eval,
     price_mc,
     risk_neutral_gamma,
+    simulate_levy_increment,
 )
 from kolmo_rfn.rng import keyed_generator, row_keys, substream
 
@@ -446,6 +448,77 @@ class TestBasketDataset:
             gen_basket_put_dataset(self.spec, [0.5], M=1.0, n=3)
         with pytest.raises(ValueError):
             gen_basket_put_dataset(self.spec, [-0.2, 1.2], M=1.0, n=3)
+
+
+def assert_prefix(small, large):
+    """``small`` is the first rows of ``large``: inputs, labels and label errors."""
+
+    n = small.n
+    assert small.X.tobytes() == large.X[:n].tobytes()
+    assert small.Y.tobytes() == large.Y[:n].tobytes()
+    if small.label_se is None:
+        assert large.label_se is None
+    else:
+        assert small.label_se.tobytes() == large.label_se[:n].tobytes()
+
+
+class TestPrefixStability:
+    """The first n rows of an n' > n row dataset are the n-row dataset, bit for bit.
+
+    On one BLAS thread, as every run pins it: a threaded gemm splits its
+    rows by thread, so their bits follow the row count.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 5, 50]), T=st.sampled_from([0.0, 0.3, 1.0]),
+        n=st.integers(1, 3000), extra=st.integers(1, 5000),
+    )
+    # a product of one row, of few rows or with rows past the last group of
+    # 4 rounds unlike those rows of a taller product at d = 50
+    @example(seed=6987, d=50, T=1.0, n=1, extra=1)
+    @example(seed=0, d=50, T=1.0, n=2, extra=23)
+    @example(seed=0, d=50, T=1.0, n=201, extra=3)
+    def test_jump_free_single_draw(self, seed, d, T, n, extra):
+        sigma = equal_correlation_sigma(0.2, 0.3, d)
+        trip = LevyTriplet(sigma=sigma, gamma=risk_neutral_gamma(sigma))
+        args = dict(M=1.0, T=T, label_kind="single_draw", seed=seed)
+        with _blas.single_blas_thread():
+            small = gen_pde_dataset(trip, max_call(1.0, d=d), n=n, **args)
+            large = gen_pde_dataset(trip, max_call(1.0, d=d), n=n + extra, **args)
+            # the payoff hides most of a difference, the increments show it
+            incr = [simulate_levy_increment(trip, T, substream(seed, 51), size=k) for k in (n, n + extra)]
+        assert_prefix(small, large)
+        assert incr[0].tobytes() == incr[1][:n].tobytes()
+
+    # rows of 1 000 normals or more are drawn on two threads
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 5]), T=st.sampled_from([0.0, 1.0]),
+        paths=st.sampled_from([1, 7, 300]), n=st.integers(1, 40), extra=st.integers(1, 60),
+    )
+    def test_jump_free_mc_price(self, seed, d, T, paths, n, extra):
+        sigma = equal_correlation_sigma(0.2, 0.3, d)
+        trip = LevyTriplet(sigma=sigma, gamma=risk_neutral_gamma(sigma))
+        args = dict(M=1.0, T=T, label_kind="mc_price", seed=seed, paths=paths)
+        with _blas.single_blas_thread():
+            small = gen_pde_dataset(trip, max_call(1.0, d=d), n=n, **args)
+            large = gen_pde_dataset(trip, max_call(1.0, d=d), n=n + extra, **args)
+        assert_prefix(small, large)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), m=st.sampled_from([1, 2, 3]), T=st.sampled_from([0.0, 1.0]),
+        paths=st.sampled_from([1, 50, 100]), noise_std=st.sampled_from([0.0, 0.01]),
+        n=st.integers(1, 200), extra=st.integers(1, 300),
+    )
+    def test_basket_put(self, seed, m, T, paths, noise_std, n, extra):
+        spec = LognormalSpec(s0=np.linspace(1.0, 0.8, m), cov=equal_correlation_sigma(0.3, 0.4, m), T=T)
+        args = dict(M=1.5, seed=seed, paths=paths, noise_std=noise_std)
+        with _blas.single_blas_thread():
+            small = gen_basket_put_dataset(spec, None, n=n, **args)
+            large = gen_basket_put_dataset(spec, None, n=n + extra, **args)
+        assert_prefix(small, large)
 
 
 class TestRoundTrip:

@@ -75,6 +75,18 @@ class TestSampling:
         assert np.array_equal(small.A, large.A[:10])
         assert np.array_equal(small.B, large.B[:10])
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), d=st.integers(1, 50), N=st.integers(1, 300),
+        extra=st.integers(1, 1000), nu=st.floats(1.01, 30.0), b_dof=st.floats(0.1, 30.0),
+    )
+    def test_any_wider_draw_starts_with_the_narrower_one(self, seed, d, N, extra, nu, b_dof):
+        spec = WeightDistributionSpec(nu=nu, b_dof=b_dof)
+        small = sample_hidden_weights(spec, N=N, d=d, seed=seed)
+        large = sample_hidden_weights(spec, N=N + extra, d=d, seed=seed)
+        assert small.A.tobytes() == large.A[:N].tobytes()
+        assert small.B.tobytes() == large.B[:N].tobytes()
+
     def test_subnetwork_equals_fresh_sample(self):
         large = sample_hidden_weights(SPEC, N=160, d=3, seed=5)
         sub = subnetwork(large, 40)

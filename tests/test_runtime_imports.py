@@ -140,10 +140,11 @@ def _commands(tmp: Path) -> list[list[str]]:
         train, test = (str(tmp / f"{name}_{split}.csv") for split in ("train", "test"))
         runs.append(["gen-data", "--config", str(cfg), "--seed", "1", "--out", train])
         runs.append(["gen-data", "--config", str(cfg), "--seed", "2", "--out", test])
-        for method in ("ols", "constrained", "sgd"):
+        # each method with the flags it reads: train refuses the others
+        for method, flags in (("ols", []), ("constrained", ["--lambda", "5"]),
+                              ("sgd", ["--lambda", "5", "--eta0", "0.003", "--steps", "50"])):
             model = str(tmp / f"{name}_{method}.json")
-            runs.append(["train", "--data", train, "--N", "8", "--method", method, "--lambda", "5",
-                         "--eta0", "0.003", "--steps", "50", "--out", model])
+            runs.append(["train", "--data", train, "--N", "8", "--method", method, *flags, "--out", model])
             runs.append(["evaluate", "--model", model, "--data", test])
     hidden = str(tmp / "hidden.json")
     runs.append(["sample-weights", "--N", "8", "--d", "2", "--seed", "1", "--out", hidden])

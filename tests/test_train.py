@@ -25,6 +25,7 @@ from kolmo_rfn.rng import substream
 from kolmo_rfn.train import (
     _SGD_INDEX_STREAM,
     _SVD_RCOND,
+    _block_rows,
     FitDiagnostics,
     TrainConfig,
     empirical_risk,
@@ -647,12 +648,28 @@ class TestFoldKernel:
         # a 4 096 x 200 design block beside the buffer is 6.5 MB over this
         assert peak < buffer_bytes + piece_bytes + 2**20
 
+    def test_the_whole_fold_holds_one_2048_row_buffer_and_one_piece(self):
+        # ten blocks at a width where the block rule keeps 2 048 rows: a
+        # fold buffer of 4 096 rows alone is 3.3 MB over this bound
+        hidden = sample_hidden_weights(WeightDistributionSpec(), N=200, d=5, seed=8)
+        Z = np.random.default_rng(9).uniform(-1, 1, (20_000, 5))
+        data = make_dataset(Z, Z.sum(axis=1))
+        buffer_bytes = (201 + 2048) * 201 * 8
+        piece_bytes = ROW_PIECE * 200 * 8
+        tracemalloc.start()
+        try:
+            fold_features(hidden, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < buffer_bytes + piece_bytes + 2**20
+
 
 def design_block_fold(hidden, X, y):
-    """The reference: ``fold_rows`` over each block's materialized design."""
+    """The reference: ``fold_rows`` over each block's materialized design, cut as ``fold_features`` cuts."""
 
     r = None
-    for rows in row_blocks(len(y)):
+    for rows in row_blocks(len(y), _block_rows(hidden.N)):
         r = fold_rows(r, design_matrix(hidden, X[rows]), y[rows])
     return r
 
@@ -665,8 +682,70 @@ def with_dead_features(hidden, dead):
     return HiddenWeights(A=A, B=B, spec=hidden.spec, seed=hidden.seed, N=hidden.N, d=hidden.d)
 
 
+def degenerate(hidden, dead, copies):
+    """``hidden`` with the features in ``dead`` zero everywhere and each ``j`` of ``copies`` a copy of feature ``k``."""
+
+    out = with_dead_features(hidden, [j % hidden.N for j in dead])
+    A, B = out.A.copy(), out.B.copy()
+    for j, k in copies:
+        A[j % hidden.N], B[j % hidden.N] = A[k % hidden.N], B[k % hidden.N]
+    return HiddenWeights(A=A, B=B, spec=out.spec, seed=out.seed, N=out.N, d=out.d)
+
+
 class TestFoldFeatures:
     """The fold that builds each block's features in its dgeqrf buffer."""
+
+    def test_blocks_widen_from_512_features(self):
+        assert [_block_rows(N) for N in (1, 200, 510, 511)] == [ROW_BLOCK] * 4
+        assert [_block_rows(N) for N in (512, 640, 767, 1280)] == [2560, 3072, 3072, 5632]
+        assert all(_block_rows(N) % ROW_PIECE == 0 and _block_rows(N) >= 4 * (N + 1) for N in range(1, 2000))
+
+    # the oracles of the block rule: the same cuts of the same features fold
+    # to the same bits, and any cut solves the whole design's least squares.
+    # W and the risk agree to 1e-10 relative; an ill-conditioned design
+    # fixes them only to about cond * eps (random ReLU designs at d = 1
+    # reach cond = 1e9), so past cond = 1e4 the bound grows with the
+    # condition number of the kept spectrum
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 5, 20]),
+        N=st.one_of(st.integers(1, 200), st.sampled_from([511, 512, 700])),
+        dead=st.sets(st.integers(0, 699), max_size=5),
+        copies=st.lists(st.tuples(st.integers(0, 699), st.integers(0, 699)), max_size=5),
+        data=st.data(),
+    )
+    def test_the_block_rule_against_its_oracles(self, seed, d, N, dead, copies, data):
+        block = _block_rows(N)
+        n = data.draw(st.one_of(
+            st.integers(1, 3 * block + 5), st.integers(1, N),  # several blocks, or fewer rows than features
+            st.sampled_from([block, block + 3, 2 * block + 4, 3 * block + 5]),
+        ))
+        rng = np.random.default_rng(seed)
+        hidden = degenerate(sample_hidden_weights(WeightDistributionSpec(), N=N, d=d, seed=seed), dead, copies)
+        X = rng.uniform(-1, 1, (n, d))
+        y = rng.standard_normal(n)
+        design = np.vstack([design_matrix(hidden, X[p]).values for p in row_blocks(n, ROW_PIECE)])
+
+        def fold(size):
+            r = None
+            for rows in row_blocks(n, size):
+                r = fold_rows(r, design[rows], y[rows])
+            return r
+
+        r = fold_features(hidden, make_dataset(X, y))
+        assert r.tobytes() == fold(block).tobytes()
+
+        W_ref, _, rank, s = np.linalg.lstsq(design, y, rcond=_SVD_RCOND)
+        resid = design @ W_ref - y
+        risk_ref = float(resid @ resid) / n
+        cond = s[0] / s[rank - 1] if rank else 1.0
+        tol = max(1e-10, 1e-14 * cond)
+        for folded in (r, fold(4096)):
+            W, diag = fit_ols(*prefix_problem(folded, N))
+            assert diag.effective_rank == rank
+            assert np.linalg.norm(W - W_ref) <= tol * np.linalg.norm(W_ref)
+            risk = risk_from_r(folded, W, n)
+            assert risk == pytest.approx(risk_ref, rel=tol, abs=1e-20 * float(y @ y) / n)
 
     # past 192 features OpenBLAS's gemm rounds the last N mod 8 features of
     # a 512-row piece differently from those of a whole block at d >= 2
