@@ -648,13 +648,13 @@ class TestBasketPut:
             run_basket_put(small_basket_spec(model=bs_triplet()))
 
     @pytest.mark.parametrize("assets", [1, 2])
-    @pytest.mark.parametrize("n_train", [30, ROW_BLOCK + 905])
+    @pytest.mark.parametrize("n_train", [30, ROW_BLOCK + 905, 2 * ROW_BLOCK + 905])
     def test_rows_match_the_materialized_design(self, assets, n_train):
         # the reference fits each width on a column prefix of the whole
         # train design and scores it on the whole test and grid designs;
-        # 30 rows is fewer than the widest layer, ROW_BLOCK + 905 spans
-        # several blocks with a short tail, and the cap clips the ols
-        # fit's predictions near the money
+        # 30 rows is fewer than the widest layer, ROW_BLOCK + 905 and
+        # 2 ROW_BLOCK + 905 span several blocks with a short tail, and
+        # the cap clips the ols fit's predictions near the money
         model = LognormalSpec(s0=np.array([1.0]), cov=np.array([[0.04]]), T=1.0)
         if assets == 2:
             model = LognormalSpec(

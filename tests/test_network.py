@@ -365,7 +365,7 @@ class TestDesignMatrix:
 
     @pytest.mark.parametrize("cap", [None, 0.5])
     @pytest.mark.parametrize("d", [1, 5])
-    @pytest.mark.parametrize("n", [0, 1, ROW_BLOCK, ROW_BLOCK + 1])
+    @pytest.mark.parametrize("n", [0, 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK, 2 * ROW_BLOCK + 1])
     def test_blocked_predict_matches_whole_design(self, n, d, cap):
         h = sample_hidden_weights(SPEC, N=40, d=d, seed=15)
         rng = np.random.default_rng(n + d)
@@ -398,7 +398,11 @@ class TestDesignMatrix:
         want = design_matrix(h, X).values @ net.W
         assert np.linalg.norm(predict(net, X) - want) <= 1e-13 * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("n", [0, 1, 5, ROW_BLOCK, ROW_BLOCK + 3, ROW_BLOCK + 4, 3 * ROW_BLOCK + 2])
+    @pytest.mark.parametrize(
+        "n",
+        [0, 1, 5, ROW_BLOCK, ROW_BLOCK + 3, ROW_BLOCK + 4, 3 * ROW_BLOCK + 2,
+         2 * ROW_BLOCK, 2 * ROW_BLOCK + 3, 2 * ROW_BLOCK + 4, 6 * ROW_BLOCK + 2],
+    )
     def test_row_blocks_cover_rows_in_order(self, n):
         for size in (ROW_BLOCK, ROW_PIECE):
             blocks = row_blocks(n, size)

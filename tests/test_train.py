@@ -344,7 +344,8 @@ class TestConstrainedAgainstFullSvd:
 def _streamed_cases():
     rng = np.random.default_rng(21)
     cases = []
-    for n in (1, 300, ROW_BLOCK, 2 * ROW_BLOCK + 123):  # one row, part, one, several blocks
+    # one row, part of a block, one block, several blocks
+    for n in (1, 300, ROW_BLOCK, 2 * ROW_BLOCK, 2 * ROW_BLOCK + 123, 4 * ROW_BLOCK + 123):
         cases.append(pytest.param(*random_instance(rng, n, 12), id=f"random_{n}x12"))
     for n, N, rank in [(7, 20, None), (12, 12, None), (300, 12, 5), (9, 30, 4)]:
         X, y = random_instance(rng, n, N, rank)
@@ -404,7 +405,7 @@ class TestStreamedAgainstDesign:
                 assert risk == pytest.approx(ref.empirical_risk, rel=1e-10, abs=risk_floor)
                 assert np.linalg.norm(W - W_ref) <= 1e-10 * max(np.linalg.norm(W_ref), 1e-300), (N, lam)
 
-    @pytest.mark.parametrize("n0,n1,N", [(50, 30, 8), (3, 2, 6), (1, 1, 1), (ROW_BLOCK, 700, 40)])
+    @pytest.mark.parametrize("n0,n1,N", [(50, 30, 8), (3, 2, 6), (1, 1, 1), (ROW_BLOCK, 700, 40), (2 * ROW_BLOCK, 700, 40)])
     def test_fold_has_the_bits_of_the_stacked_qr(self, n0, n1, N):
         rng = np.random.default_rng(n0 + n1 + N)
         X0, y0 = random_instance(rng, n0, N)
