@@ -43,6 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._blas import single_blas_thread
 from .levy import (
     _CHUNK,
     IncrementSampler,
@@ -290,6 +291,7 @@ def _mc_labels(
     return mean, np.sqrt(var / paths)
 
 
+@single_blas_thread()
 def gen_pde_dataset(
     triplet: LevyTriplet,
     payoff: Payoff,
@@ -306,7 +308,9 @@ def gen_pde_dataset(
 
     Monte Carlo labels stop at their next block, raising RuntimeError,
     once ``stop`` is set: a rate curve sets it when its own thread fails
-    while this runs on its worker.
+    while this runs on its worker. Like ``gen_basket_put_dataset``, it
+    runs on one OpenBLAS thread (``_blas.single_blas_thread``), so its
+    rows do not depend on the core count.
     """
 
     if n < 1:
@@ -361,6 +365,7 @@ def basket_weights(sampler: LognormalSpec, weights=None) -> np.ndarray:
     return w
 
 
+@single_blas_thread()
 def gen_basket_put_dataset(
     sampler: LognormalSpec,
     weights,

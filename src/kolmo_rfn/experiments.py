@@ -6,6 +6,9 @@ ExperimentReport that can be written as a CSV of rows plus a JSON
 summary. Seeds for data generation, hidden-weight sampling, and SGD are
 derived from the master seed through independent substreams, so
 changing one leg (say, the size of the test set) never perturbs another.
+Every runner holds numpy's OpenBLAS at one thread
+(``_blas.single_blas_thread``), so its rows do not depend on the core
+count, whether it is called directly or through ``run_experiment``.
 """
 
 from __future__ import annotations
@@ -178,6 +181,7 @@ def _pde_data(
 # rate curve
 
 
+@single_blas_thread()
 def run_rate_curve(spec: ExperimentSpec, datasets: tuple[Dataset, Dataset] | None = None) -> ExperimentReport:
     """Prediction error against network width on PDE data.
 
@@ -191,7 +195,7 @@ def run_rate_curve(spec: ExperimentSpec, datasets: tuple[Dataset, Dataset] | Non
     stays one-row-per-N.
 
     A generated test set is drawn on one worker thread while this thread
-    fits the widths: the fold's ``dgeqrf`` releases the GIL, so the
+    fits the widths: the fold's ``dtpqrt`` releases the GIL, so the
     labels run beside it. The worker is joined before the held-out pass,
     and an error it raised comes out of this call. When this thread
     raises (a fit error or Ctrl-C), the worker stops at its next label
@@ -299,6 +303,7 @@ def _held_out_rmse(hidden, solved: dict, X: np.ndarray, Y: np.ndarray, cap) -> d
 # basket put
 
 
+@single_blas_thread()
 def run_basket_put(spec: ExperimentSpec) -> ExperimentReport:
     """Learn put prices from strike alone; every trainer sees the same data.
 
@@ -369,6 +374,7 @@ def run_basket_put(spec: ExperimentSpec) -> ExperimentReport:
 # oracle convergence
 
 
+@single_blas_thread()
 def run_oracle_convergence(spec: ExperimentSpec) -> ExperimentReport:
     """Sup-grid error of training-free weights across widths and seeds.
 
@@ -428,6 +434,7 @@ def _default_checkpoints(steps: int) -> tuple[int, ...]:
     return tuple(marks)
 
 
+@single_blas_thread()
 def run_sgd_vs_ols(spec: ExperimentSpec) -> ExperimentReport:
     """Empirical-risk gap of SGD iterates against the OLS optimum.
 

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._blas import single_blas_thread
 from .rng import substream
 
 __all__ = [
@@ -54,20 +55,21 @@ _A_NORMAL, _A_CHI, _B_NORMAL, _B_CHI = 0, 1, 2, 3
 
 # design rows per block wherever a design is streamed rather than built
 # whole: the held-out pass of experiments, ``save_dataset``, and the TSQR
-# fold of train, which widens its blocks past 4 (N + 1) rows (see
-# ``train._block_rows``). Folding one block of d = 50 ReLU features under
-# the R of the rows before it, on one OpenBLAS thread (OpenBLAS 0.3.31,
-# 2 shared cores), in microseconds per row, median of alternating runs:
+# fold of train at every width. Folding one 2 048-row block of d = 50
+# ReLU features into the R of the rows before it with LAPACK ``dtpqrt``,
+# on one OpenBLAS thread (OpenBLAS 0.3.31, 2 shared cores), in
+# microseconds per row, median of five alternating runs, beside the
+# ``dgeqrf`` fold of R stacked on a block that it replaced:
 #
-#   N + 1   2 048 rows   4 096 rows   the fold's block
-#     161   4.9          5.4          2 048
-#     201   6.4          7.2          2 048
-#     401   17.0         18.0         2 048
-#     641   44.6-45.7    41.5-44.5    41.8-43.8 at 3 072
-#   1 281   174-200      144-172      138-164 at 5 632
+#   N + 1   dtpqrt, 2 048 rows   dgeqrf, stacked
+#     161   3.7                  4.9 at 2 048 rows
+#     201   5.6                  7.0 at 2 048
+#     401   16.3                 19.1 at 2 048
+#     641   36.9                 37.7 at 3 072
+#   1 281   150                  154 at 5 632
 #
-# Halving the block halves the fold buffer; a block of fewer than about
-# 4 (N + 1) rows is slow beside the N + 1 rows of R stacked above it
+# ``dtpqrt`` skips R's zeros, so a short block is not slowed by the
+# N + 1 rows of R, and one flat block size serves every width
 ROW_BLOCK = 2048
 
 # design rows built at once where a block's design is built piece by
@@ -259,8 +261,8 @@ def row_blocks(n: int, size: int = ROW_BLOCK) -> list[slice]:
     the slice before it. OpenBLAS computes a matrix-vector product in
     groups of 4 rows and treats a short product differently, so with this
     cut each slice's product has the bits the whole product has on one
-    BLAS thread. ``size`` is ``ROW_BLOCK``, ``ROW_PIECE`` or the fold's
-    block of ``train._block_rows(N)`` rows, a multiple of ``ROW_PIECE``.
+    BLAS thread. ``size`` is ``ROW_BLOCK`` (the held-out pass, the train
+    fold and ``save_dataset``) or ``ROW_PIECE`` (the pieces of a block).
     """
 
     blocks = [slice(i, min(i + size, n)) for i in range(0, n, size)]
@@ -281,14 +283,16 @@ def design_matrix(hidden: HiddenWeights, X) -> FeatureMatrix:
     return FeatureMatrix(values=values, point_count=arr.shape[0], feature_count=hidden.N)
 
 
+@single_blas_thread()
 def predict(net: RandomFeatureNet, X) -> np.ndarray:
     """Vector of network values at the rows of X (cap applied if set).
 
     The design is built ``ROW_PIECE`` rows at a time (``row_blocks``),
     so memory grows with ``ROW_PIECE * N`` and not with the number of
-    points. Each value matches the whole design's product to rounding,
-    and bit for bit on one BLAS thread wherever the pieces' features
-    have the whole design's bits (see ``ROW_PIECE``).
+    points. It runs on one OpenBLAS thread (``_blas.single_blas_thread``).
+    Each value matches the whole design's product to rounding, and bit
+    for bit wherever the pieces' features have the whole design's bits
+    (see ``ROW_PIECE``).
     """
 
     arr = _rows(net.hidden, X)

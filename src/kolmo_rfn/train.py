@@ -32,7 +32,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.linalg import lapack_lite
 
 from . import _blas
 from .data import Dataset
@@ -249,125 +248,91 @@ def fit_constrained(design, Y, lam: float) -> tuple[np.ndarray, FitDiagnostics]:
     return W, diag
 
 
-def _dgeqrf(rows: np.ndarray, work: np.ndarray, lwork: int) -> None:
-    m, n = rows.shape
-    tau = np.empty(min(m, n))
-    kernel = _blas.gil_free_dgeqrf()
-    if kernel is not None:
-        info = kernel(rows, tau, work, lwork)
-    else:
-        # lapack_lite takes C-contiguous arrays: the transpose of the
-        # column-major rows is one, holding the same memory
-        info = lapack_lite.dgeqrf(m, n, rows.T, m, tau, work, lwork, 0)["info"]
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK dgeqrf failed with info = {info}")
+# the panel width of the dtpqrt fold, cut to the column count below it
+_PANEL = 32
 
 
-def _stacked(r: np.ndarray | None, m: int, N: int) -> tuple[np.ndarray, int]:
-    """A column-major buffer of ``r`` over room for ``m`` rows of ``[X | Y]``, and its top."""
+def _fold(r: np.ndarray, rows: np.ndarray) -> None:
+    """Fold the column-major ``rows`` of ``[X | Y]`` into the column-major R ``r``, in place.
 
-    top = 0 if r is None else r.shape[0]
-    rows = np.empty((top + m, N + 1), order="F")
-    if r is not None:
-        rows[:top] = r
-    return rows, top
-
-
-def _factor(rows: np.ndarray) -> np.ndarray:
-    """R of the stacked ``rows``, which LAPACK ``dgeqrf`` factors in place.
-
-    LAPACK reads the column-major data that numpy's qr would hand it for
-    the stacked rows, with the workspace numpy's qr asks for, so R has
-    the same bits without the stacking copies or the two copies numpy's
-    qr makes of its argument.
+    LAPACK ``dtpqrt`` updates R from R stacked on the rows, skipping R's
+    zeros, through ``_blas.gil_free_dtpqrt``, which releases the GIL;
+    ``rows`` is overwritten. Where numpy links no ``dtpqrt``, numpy's QR
+    of the stacked rows gives the same R to rounding.
     """
 
-    query = np.empty(1)
-    _dgeqrf(rows, query, -1)
-    lwork = max(1, rows.shape[1], int(query[0]))
-    _dgeqrf(rows, np.empty(lwork), lwork)
-    return np.triu(rows[:min(rows.shape)])
+    kernel = _blas.gil_free_dtpqrt()
+    if kernel is None:
+        r[:] = np.linalg.qr(np.vstack([r, rows]), mode="r")
+        return
+    info = kernel(r, rows, min(_PANEL, r.shape[1]))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dtpqrt failed with info = {info}")
 
 
 def fold_rows(r: np.ndarray | None, design, Y) -> np.ndarray:
     """Fold the rows ``[X | Y]`` into the R of a running TSQR.
 
-    ``r`` is the R factor of every row folded so far (None before the
-    first block). The R of the QR of ``r`` stacked on the new rows is
-    the R of all rows together, so a design streamed in row blocks is
-    never held whole (Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci.
-    Comput. 2012). ``r`` and the rows go into one column-major buffer,
-    which ``dgeqrf`` factors in place.
+    ``r`` is the (N + 1) x (N + 1) R factor of every row folded so far
+    (None before the first block, which folds into zeros). The R of ``r``
+    stacked on the new rows is the R of all rows together, so a design
+    streamed in row blocks is never held whole (Demmel, Grigori, Hoemmen
+    & Langou, SIAM J. Sci. Comput. 2012). Returns a new R; ``r`` is left
+    as it was.
 
     ``fit_widths`` folds through ``fold_features``, which builds each
-    block's features in that buffer instead of taking a design; this
-    function is the reference it is tested against, with the same
-    factorization.
-
-    LAPACK ``dgeqrf`` factors the stacked rows through
-    ``_blas.gil_free_dgeqrf``, which releases the GIL, so another thread
-    (a rate curve's test labels) runs Python while a block folds; without
-    that binding it goes through ``lapack_lite.dgeqrf``, which holds the
-    GIL. The binding is the routine ``lapack_lite`` calls, so R has the
-    same bits either way.
+    block's features in the fold's buffer instead of taking a design;
+    this function is the reference it is tested against, on the same
+    kernel.
     """
 
     X, y = _check_xy(design, Y)
-    if r is not None and r.shape[1] != X.shape[1] + 1:
+    width = X.shape[1] + 1
+    if r is not None and r.shape[1] != width:
         raise ValueError(
             f"R was folded from {r.shape[1] - 1} features but the design has {X.shape[1]}"
         )
-    rows, top = _stacked(r, *X.shape)
-    rows[top:, :-1] = X
-    rows[top:, -1] = y
-    return _factor(rows)
-
-
-def _block_rows(N: int) -> int:
-    """Rows of each block ``fold_features`` folds for a layer of ``N`` features.
-
-    ``ROW_BLOCK``, or at least ``4 (N + 1)`` rows where that is more,
-    rounded up to a multiple of ``ROW_PIECE``: the N + 1 rows of R stacked
-    above a short block make its fold slow (see ``network.ROW_BLOCK``), so
-    blocks widen from N = 512 on (5 632 rows at N = 1 280).
-    """
-
-    return -(-max(ROW_BLOCK, 4 * (N + 1)) // ROW_PIECE) * ROW_PIECE
+    out = np.zeros((width, width), order="F") if r is None else np.array(r, order="F")
+    rows = np.empty((y.size, width), order="F")
+    rows[:, :-1] = X
+    rows[:, -1] = y
+    _fold(out, rows)
+    return out
 
 
 def fold_features(hidden: HiddenWeights, data: Dataset) -> np.ndarray:
     """R of ``[design_matrix(hidden, data.X) | data.Y]``, folded without the design.
 
-    Each block of ``_block_rows(hidden.N)`` rows is folded as
-    ``fold_rows`` folds it, but its features are built ``ROW_PIECE``
-    rows at a time straight into the buffer ``dgeqrf`` factors, so no
-    block design is held beside the buffer. The filled rows are checked
-    for non-finite values before they are factored. Where the pieces have
-    the bits of the whole block's design (``network.ROW_PIECE``), R has
-    the bits of ``fold_rows`` over design blocks cut the same way;
-    elsewhere the gemm rounds some features of a piece differently, and R
-    agrees to rounding. Other cuts give the same R to rounding.
+    Each block of ``row_blocks(data.n)`` is folded as ``fold_rows`` folds
+    it, but its features are built ``ROW_PIECE`` rows at a time straight
+    into the buffer ``dtpqrt`` folds, so no block design is held beside
+    it. The filled rows are checked for non-finite values before they are
+    folded. Where the pieces have the bits of the whole block's design
+    (``network.ROW_PIECE``), R has the bits of ``fold_rows`` over design
+    blocks cut the same way; elsewhere the gemm rounds some features of a
+    piece differently, and R agrees to rounding. Other cuts give the same
+    R to rounding.
     """
 
-    r = None
-    for block in row_blocks(data.n, _block_rows(hidden.N)):
-        r = _fold_block(r, hidden, data.X[block], data.Y[block])
-    if r is None:
+    if data.n == 0:
         raise ValueError("cannot fit on empty data")
+    r = np.zeros((hidden.N + 1, hidden.N + 1), order="F")
+    for block in row_blocks(data.n):
+        _fold_block(r, hidden, data.X[block], data.Y[block])
     return r
 
 
-def _fold_block(r: np.ndarray | None, hidden: HiddenWeights, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``fold_rows(r, design_matrix(hidden, X), y)``, the features built in the buffer."""
+def _fold_block(r: np.ndarray, hidden: HiddenWeights, X: np.ndarray, y: np.ndarray) -> None:
+    """Fold ``[design_matrix(hidden, X) | y]`` into ``r``, the features built in the buffer."""
 
-    rows, top = _stacked(r, y.size, hidden.N)
-    rows[top:, -1] = y
+    rows = np.empty((y.size, hidden.N + 1), order="F")
+    rows[:, -1] = y
     for piece in row_blocks(y.size, ROW_PIECE):
-        filled = rows[top + piece.start:top + piece.stop]
+        filled = rows[piece]
         filled[:, :-1] = design_matrix(hidden, X[piece]).values
         if not np.isfinite(filled).all():
             raise ValueError("design and labels must be finite")
-    return _factor(rows)
+    _fold(r, rows)
 
 
 def _check_width(N: int, N_max: int) -> None:
@@ -378,9 +343,10 @@ def _check_width(N: int, N_max: int) -> None:
 def prefix_problem(r: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     """The least-squares problem of the first ``N`` design columns, from R.
 
-    With ``R`` the factor of ``[X | Y]``, the leading ``k = min(rows, N)``
-    rows of its first ``N`` columns and of its last column Q'Y make a
-    k x N problem whose squared residual differs from the design's by a
+    With ``R`` the square (N_max + 1) x (N_max + 1) factor of ``[X | Y]``
+    (rows past the n folded ones are zero to rounding), the leading ``N``
+    rows of its first ``N`` columns and of its last column Q'Y make an
+    N x N problem whose squared residual differs from the design's by a
     constant. Any trainer that sees only the residual (``fit_ols``,
     ``fit_constrained``) finds the same W on it, and it has the singular
     values of those N columns, hence the same effective rank; its risk
@@ -389,8 +355,7 @@ def prefix_problem(r: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     """
 
     _check_width(N, r.shape[1] - 1)
-    k = min(r.shape[0], N)
-    return r[:k, :N], r[:k, -1]
+    return r[:N, :N], r[:N, -1]
 
 
 def risk_from_r(r: np.ndarray, W: np.ndarray, n: int) -> float:
@@ -494,6 +459,7 @@ def fit(design, Y, config: TrainConfig) -> tuple[np.ndarray, FitDiagnostics]:
     return fit_sgd(design, Y, config)
 
 
+@_blas.single_blas_thread()
 def fit_widths(
     hidden: HiddenWeights, widths, data: Dataset, config: TrainConfig,
     failed: dict | None = None, solve=fit, r: np.ndarray | None = None,
@@ -510,7 +476,8 @@ def fit_widths(
     solve fails is recorded in ``failed`` (N -> message) when a dict is
     given and raises otherwise; a failed fold always raises. ``solve`` is
     the trainer run on every width, ``fit`` unless a caller wraps it. A
-    width outside ``1..hidden.N`` raises before any fold. Its callers are
+    width outside ``1..hidden.N`` raises before any fold. It runs on one
+    OpenBLAS thread (``_blas.single_blas_thread``). Its callers are
     ``run_rate_curve`` (every width, failures recorded),
     ``run_basket_put`` (every width per train config, one fold for all
     of them, failures raised), ``run_sgd_vs_ols`` (the OLS optimum) and

@@ -18,6 +18,7 @@ from kolmo_rfn.data import gen_pde_dataset
 from kolmo_rfn.experiments import (
     ExperimentSpec,
     run_basket_put,
+    run_experiment,
     run_oracle_convergence,
     run_rate_curve,
 )
@@ -70,6 +71,8 @@ def test_criterion_1_rate_curve_slope_band():
     )
     assert in_band >= 8
     assert wall <= 300.0
+    # the runner called directly pins the BLAS threads as run_experiment does
+    assert run_experiment(ExperimentSpec.from_dict(doc)).slope == slopes[-1]
 
 
 def test_criterion_2_oracle_error_ratio():

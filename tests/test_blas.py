@@ -1,8 +1,9 @@
 """Runs pin numpy's OpenBLAS to one thread and give the caller's count back.
 
 The rows of a run must not depend on the machine's BLAS thread count: the
-same commands in fresh interpreters under ``OPENBLAS_NUM_THREADS=1`` and
-``=2`` must write the same report rows.
+same commands, and the same library calls made directly, in fresh
+interpreters under ``OPENBLAS_NUM_THREADS=1`` and ``=2`` must give the
+same rows.
 """
 
 import ctypes
@@ -30,19 +31,23 @@ RATE = {
 
 
 def _numpy_openblas():
-    """(get, set) of numpy's own OpenBLAS, found independently of the lookup under test."""
+    """(get, set) of numpy's own OpenBLAS, found independently of the lookup under test.
 
-    root = str(Path(np.__file__).resolve().parent)  # numpy/.libs and numpy.libs/ both start with it
-    for path in _blas._mapped_openblas():
-        if not path.startswith(root):
+    numpy's wheel ships its OpenBLAS in ``numpy.libs`` beside the package.
+    """
+
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:  # RTLD_NOLOAD: only the library numpy has loaded
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
             continue
-        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
         for set_name, get_name in _blas._SYMBOLS:
             if hasattr(lib, get_name):
                 get, set_ = getattr(lib, get_name), getattr(lib, set_name)
                 get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
                 return get, set_
-    pytest.skip("numpy does not run on a mapped OpenBLAS")
+    pytest.skip("numpy does not run on an OpenBLAS of its own wheel")
 
 
 @pytest.fixture
@@ -120,12 +125,48 @@ def test_cli_restores_the_count_on_every_exit(numpy_threads, recorded, tmp_path,
     assert recorded == [1, 1] and numpy_threads() == 2
 
 
-def test_run_completes_without_an_openblas(monkeypatch, tmp_path):
-    # no /proc: the lookup finds nothing and the scope does nothing
-    monkeypatch.setattr(_blas, "_MAPS", str(tmp_path / "no_such_maps"))
-    monkeypatch.setattr(_blas, "_controls", None)
+def test_run_completes_without_an_openblas(monkeypatch):
+    # another BLAS: the lookup finds no thread count and the scope does nothing
+    monkeypatch.setattr(_blas, "_thread_count", lambda: None)
     report = experiments.run_experiment(ExperimentSpec.from_dict(RATE))
-    assert _blas._controls == [] and len(report.rows) == 2
+    assert len(report.rows) == 2
+
+
+@pytest.mark.parametrize("call", ["run_rate_curve", "gen_pde_dataset", "fit_widths", "predict"])
+def test_library_entry_points_run_on_one_thread(numpy_threads, monkeypatch, call):
+    # called directly, outside run_experiment and the CLI: the count seen
+    # by a function the entry point calls, and restored after
+    from kolmo_rfn import data, network, train
+
+    spec = ExperimentSpec.from_dict(RATE)
+    hidden = network.sample_hidden_weights(network.WeightDistributionSpec(), 5, 2, seed=1)
+    runs = {
+        "run_rate_curve": ((experiments, "_held_out_rmse"), lambda: experiments.run_rate_curve(spec)),
+        "gen_pde_dataset": (
+            (data, "payoff_eval"), lambda: data.gen_pde_dataset(spec.model, spec.payoff, spec.M, spec.T, 4),
+        ),
+        "fit_widths": (
+            (train, "fold_features"),
+            lambda: train.fit_widths(hidden, (5,), data.gen_pde_dataset(spec.model, spec.payoff, spec.M, spec.T, 20),
+                                     train.TrainConfig(method="ols")),
+        ),
+        "predict": (
+            (network, "design_matrix"),
+            lambda: network.predict(network.RandomFeatureNet(hidden=hidden, W=np.ones(5)), np.zeros((3, 2))),
+        ),
+    }
+    watched, run = runs[call]
+    real = getattr(*watched)
+    counts = []
+
+    def recording(*args, **kwargs):
+        counts.append(numpy_threads())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(*watched, recording)
+    run()
+    assert counts and set(counts) == {1}
+    assert numpy_threads() == 2
 
 
 # Fresh interpreters, one per thread count: the rate curve has d = 5 and
@@ -146,14 +187,25 @@ CORE_COUNT_RUNS = {
 }
 
 CORE_COUNT_SCRIPT = """
-import json, sys
+import hashlib, json, sys
 if sys.argv[2] == "scipy":
-    import scipy.linalg  # maps scipy's OpenBLAS first, so numpy's must be found on its own
+    import scipy.linalg  # loads scipy's OpenBLAS first, so numpy's must be found on its own
 from kolmo_rfn.cli import main
+from kolmo_rfn.config import ExperimentSpec
+from kolmo_rfn.data import gen_pde_dataset
+from kolmo_rfn.experiments import run_rate_curve
 
 for argv in json.loads(sys.argv[1]):
     if main(argv) != 0:
         sys.exit(f"failed: {argv}")
+# the library called directly, outside run_experiment and the CLI
+spec = ExperimentSpec.from_dict(json.loads(sys.argv[3]))
+data = gen_pde_dataset(spec.model, spec.payoff, spec.M, spec.T, 500, label_kind="mc_price", seed=3, paths=200)
+curve = run_rate_curve(spec)
+print(json.dumps({
+    "gen_pde_dataset": hashlib.sha256(data.X.tobytes() + data.Y.tobytes()).hexdigest(),
+    "run_rate_curve": [[N, e_hat.hex(), risk.hex()] for N, e_hat, risk, _ in curve.rows],
+}))
 """
 
 
@@ -165,11 +217,12 @@ def _report_rows(tmp: Path, threads: str, first_import: str) -> dict:
         runs.append(["experiment", kind, "--config", str(cfg), "--out", str(tmp / f"{kind}_{threads}")])
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads)
     proc = subprocess.run(
-        [sys.executable, "-c", CORE_COUNT_SCRIPT, json.dumps(runs), first_import],
+        [sys.executable, "-c", CORE_COUNT_SCRIPT, json.dumps(runs), first_import,
+         json.dumps(CORE_COUNT_RUNS["rate_curve"])],
         capture_output=True, text=True, timeout=300, env=env, cwd=tmp,
     )
     assert proc.returncode == 0, proc.stderr
-    rows = {}
+    rows = {"direct": json.loads(proc.stdout.splitlines()[-1])}
     for kind in CORE_COUNT_RUNS:
         header, *lines = (tmp / f"{kind}_{threads}.csv").read_text().splitlines()
         keep = [i for i, name in enumerate(header.split(",")) if name != "wall_ms"]

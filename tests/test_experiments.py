@@ -522,16 +522,16 @@ class TestTestSetWorker:
 
     def test_a_failed_fold_fails_every_width(self, monkeypatch):
         def failing(*args):
-            raise np.linalg.LinAlgError("LAPACK dgeqrf failed with info = -4")
+            raise np.linalg.LinAlgError("LAPACK dtpqrt failed with info = -4")
 
-        monkeypatch.setattr(train_module, "_dgeqrf", failing)
+        monkeypatch.setattr(train_module, "_fold", failing)
         spec = small_rate_spec(test_paths=600)
         before = threading.enumerate()
         rep = run_rate_curve(spec)
         assert threading.enumerate() == before
         assert all(math.isnan(r[1]) and math.isnan(r[2]) for r in rep.rows)
         assert rep.extras["errors"] == [
-            {"N": N, "error": "LAPACK dgeqrf failed with info = -4"} for N in spec.N_list
+            {"N": N, "error": "LAPACK dtpqrt failed with info = -4"} for N in spec.N_list
         ]
         assert rep.extras["n_test"] == spec.n_test and rep.extras["test_label_se_rms"] > 0
 

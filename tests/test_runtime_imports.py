@@ -8,13 +8,13 @@ function. The same interpreter checks that importing the package starts
 no thread and that no thread is left running once the commands return.
 
 Importing the package must also leave the BLAS alone: it loads no ctypes
-module beyond those numpy itself imports, and it looks up neither the
-OpenBLAS libraries nor the GIL-free ``dgeqrf`` (that happens at the first
-run or fold), so the cold start pays for neither. Nor does it import
-``concurrent.futures``, which brings in logging (about 10 ms); the label
-kernel and the rate curve import it when they start a thread. After the
-commands, every mapped OpenBLAS must report the thread count it had
-before them.
+module beyond those numpy itself imports, and it opens neither the ctypes
+handle of numpy's ``lapack_lite`` nor the GIL-free ``dtpqrt`` (that
+happens at the first run or fold), so the cold start pays for neither.
+Nor does it import ``concurrent.futures``, which brings in logging (about
+10 ms); the label kernel and the rate curve import it when they start a
+thread. After the commands, numpy's OpenBLAS must report the thread count
+it had before them.
 
 Everything the commands print as JSON and every ``.json`` file they write
 (reports, models, training diagnostics, dataset sidecars) must be strict
@@ -94,17 +94,20 @@ after_import = threading.enumerate()
 ctypes_by_import = sorted(m for m in set(sys.modules) - before_import if "ctypes" in m)
 futures_by_import = "concurrent.futures" in set(sys.modules) - before_import
 from kolmo_rfn import _blas
-looked_up_by_import = _blas._controls is not None or _blas.gil_free_dgeqrf.cache_info().currsize > 0
+looked_up_by_import = any(
+    f.cache_info().currsize > 0 for f in (_blas._lapack_lite, _blas._thread_count, _blas.gil_free_dtpqrt)
+)
 
 
 def blas_threads():
-    import ctypes, os
+    # numpy's own OpenBLAS, from its wheel's numpy.libs
+    import ctypes, os, pathlib
     counts = {}
-    for path in _blas._mapped_openblas():
-        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+    for path in pathlib.Path(numpy.__file__).resolve().parent.parent.glob("numpy.libs/*openblas*"):
+        lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
         for _, get in _blas._SYMBOLS:
             if hasattr(lib, get):
-                counts[path] = getattr(lib, get)()
+                counts[str(path)] = getattr(lib, get)()
                 break
     return counts
 

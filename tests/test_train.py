@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from kolmo_rfn.rng import substream
 from kolmo_rfn.train import (
     _SGD_INDEX_STREAM,
     _SVD_RCOND,
-    _block_rows,
     FitDiagnostics,
     TrainConfig,
     empirical_risk,
@@ -381,7 +379,7 @@ class TestStreamedAgainstDesign:
     def test_matches_materialized_fits(self, X, y):
         n, n_max = X.shape
         r = fold_in_blocks(X, y)
-        assert r.shape == (min(n, n_max + 1), n_max + 1)
+        assert r.shape == (n_max + 1, n_max + 1)
         # an interpolating fit has a risk at rounding level, where only an
         # absolute floor on the label scale is meaningful
         risk_floor = 1e-20 * float(y @ y) / n
@@ -406,14 +404,13 @@ class TestStreamedAgainstDesign:
                 assert np.linalg.norm(W - W_ref) <= 1e-10 * max(np.linalg.norm(W_ref), 1e-300), (N, lam)
 
     @pytest.mark.parametrize("n0,n1,N", [(50, 30, 8), (3, 2, 6), (1, 1, 1), (ROW_BLOCK, 700, 40), (2 * ROW_BLOCK, 700, 40)])
-    def test_fold_has_the_bits_of_the_stacked_qr(self, n0, n1, N):
+    def test_fold_agrees_with_the_stacked_qr(self, n0, n1, N):
         rng = np.random.default_rng(n0 + n1 + N)
         X0, y0 = random_instance(rng, n0, N)
         X1, y1 = random_instance(rng, n1, N)
         r = fold_rows(None, X0, y0)
-        assert np.array_equal(r, np.linalg.qr(np.column_stack([X0, y0]), mode="r"))
-        stacked = np.linalg.qr(np.vstack([r, np.column_stack([X1, y1])]), mode="r")
-        assert np.array_equal(fold_rows(r, X1, y1), stacked)
+        assert_same_gram(r, stacked_qr(None, X0, y0))
+        assert_same_gram(fold_rows(r, X1, y1), stacked_qr(r, X1, y1))
 
     def test_fit_widths_solves_each_width_from_the_fold(self):
         hidden = sample_hidden_weights(WeightDistributionSpec(), N=30, d=2, seed=4)
@@ -480,6 +477,40 @@ def stacked_qr(r, X, y):
     return np.linalg.qr(rows if r is None else np.vstack([r, rows]), mode="r")
 
 
+def assert_same_gram(got, want, rtol=1e-14):
+    """``got`` and ``want`` are R factors of the same rows, to rounding.
+
+    R'R is compared, not R: R fixes the sign of a row only where its
+    diagonal is nonzero, and a dead feature leaves a zero there.
+    """
+
+    gram = want.T @ want
+    assert got.shape[1] == want.shape[1]
+    assert np.linalg.norm(got.T @ got - gram) <= rtol * np.linalg.norm(gram)
+
+
+def assert_solves_lstsq(r, design, y, widths):
+    """Each width's OLS fit from ``r`` is lstsq's on the whole design.
+
+    W and the risk agree to 1e-10 relative; an ill-conditioned design
+    fixes them only to about cond * eps (random ReLU designs at d = 1
+    reach cond = 1e9), so past cond = 1e4 the bound grows with the
+    condition number of the kept spectrum.
+    """
+
+    n = len(y)
+    for N in widths:
+        x = design[:, :N]
+        W_ref, _, rank, s = np.linalg.lstsq(x, y, rcond=_SVD_RCOND)
+        resid = x @ W_ref - y
+        cond = s[0] / s[rank - 1] if rank else 1.0
+        tol = max(1e-10, 1e-14 * cond)
+        W, got_rank, _, risk = fit_from_r(r, N, n, TrainConfig(method="ols"))
+        assert got_rank == rank, N
+        assert np.linalg.norm(W - W_ref) <= tol * max(np.linalg.norm(W_ref), 1e-300), N
+        assert risk == pytest.approx(float(resid @ resid) / n, rel=tol, abs=1e-20 * float(y @ y) / n)
+
+
 def _kernel_cases():
     rng = np.random.default_rng(31)
     cases = []
@@ -504,117 +535,121 @@ def _kernel_cases():
 
 
 class TestFoldKernel:
-    """The in-place dgeqrf fold against numpy's QR of the stacked rows."""
+    """The in-place dtpqrt fold against its fallback, numpy's QR of the stacked rows."""
 
     @pytest.mark.parametrize("X,y", _kernel_cases())
-    def test_r_has_the_bits_of_numpys_qr(self, X, y):
-        r = fold_rows(None, X, y)
-        assert np.array_equal(r, stacked_qr(None, X, y))
-        # a second block, read backwards through a negatively strided view
-        assert np.array_equal(fold_rows(r, X[::-1], y[::-1]), stacked_qr(r, X[::-1], y[::-1]))
+    def test_r_has_the_bits_of_numpys_qr(self, monkeypatch, X, y):
+        # through the fallback R has the bits of numpy's QR of R stacked on
+        # the rows; the dtpqrt fold agrees with it to rounding, and both
+        # solve the rows' least squares. A first block, then the same rows
+        # read backwards through a negatively strided view
+        def two_blocks():
+            r = fold_rows(None, X, y)
+            return r, fold_rows(r, X[::-1], y[::-1])
+
+        first, second = two_blocks()
+        monkeypatch.setattr(_blas, "gil_free_dtpqrt", lambda: None)  # the fallback
+        first_qr, second_qr = two_blocks()
+        assert np.array_equal(first_qr, stacked_qr(np.zeros_like(first_qr), X, y))
+        assert np.array_equal(second_qr, stacked_qr(first_qr, X[::-1], y[::-1]))
+        assert first_qr.flags.f_contiguous and second_qr.flags.f_contiguous
+        assert_same_gram(first, first_qr)
+        assert_same_gram(second, second_qr)
+        n_max = X.shape[1]
+        for r in (second, second_qr):
+            assert r.shape == (n_max + 1, n_max + 1)
+            assert_solves_lstsq(r, np.vstack([X, X[::-1]]), np.concatenate([y, y[::-1]]), range(1, n_max + 1))
 
     @pytest.mark.parametrize("X,y", _kernel_cases())
-    def test_the_gil_free_dgeqrf_has_lapack_lites_bits(self, monkeypatch, X, y):
-        kernel = _blas.gil_free_dgeqrf()
+    def test_the_gil_free_dtpqrt_agrees_with_numpys_qr(self, X, y):
+        kernel = _blas.gil_free_dtpqrt()
         if kernel is None:
-            pytest.skip("numpy's lapack_lite links no scipy_dgeqrf_64_")
-        stacked = np.column_stack([X, y])
-        m, n = stacked.shape
+            pytest.skip("numpy links no scipy_dtpqrt_64_")
+        rows = np.column_stack([X, y])
+        n = rows.shape[1]
+        below = np.tril(np.full((n, n), 7.0), -1)
+        for nb in sorted({1, min(32, n), n}):
+            a, b = np.array(below, order="F"), np.array(rows, order="F")
+            assert kernel(a, b, nb) == 0
+            assert np.array_equal(np.tril(a, -1), below)  # R's strict lower triangle is left alone
+            assert_same_gram(np.triu(a), stacked_qr(None, X, y))
 
-        def lite(a, tau, work, lwork):
-            return train_module.lapack_lite.dgeqrf(m, n, a.T, m, tau, work, lwork, 0)["info"]
-
-        out = []
-        for dgeqrf in (kernel, lite):
-            a, tau, query = np.array(stacked, order="F"), np.empty(min(m, n)), np.empty(1)
-            assert dgeqrf(a, tau, query, -1) == 0
-            lwork = max(1, n, int(query[0]))
-            assert dgeqrf(a, tau, np.empty(lwork), lwork) == 0
-            out.append((query.tobytes(), a.tobytes(order="F"), tau.tobytes()))
-        assert out[0] == out[1]
-        # the fold through the fallback, on a first block and a strided second one
-        r = fold_rows(None, X, y)
-        again = fold_rows(r, X[::-1], y[::-1])
-        monkeypatch.setattr(_blas, "gil_free_dgeqrf", lambda: None)
-        assert fold_rows(None, X, y).tobytes() == r.tobytes()
-        assert fold_rows(r, X[::-1], y[::-1]).tobytes() == again.tobytes()
-
-    def test_the_gil_free_dgeqrf_checks_its_buffers(self):
-        kernel = _blas.gil_free_dgeqrf()
+    def test_the_gil_free_dtpqrt_checks_its_buffers(self):
+        kernel = _blas.gil_free_dtpqrt()
         if kernel is None:
-            pytest.skip("numpy's lapack_lite links no scipy_dgeqrf_64_")
-        a = np.ones((6, 3), order="F")
+            pytest.skip("numpy links no scipy_dtpqrt_64_")
+        a, b = np.zeros((3, 3), order="F"), np.ones((6, 3), order="F")
         read_only = a.copy(order="F")
         read_only.setflags(write=False)
         for args in [
-            (np.ones((6, 3)), np.empty(3), np.empty(8), 8),  # row-major
-            (a.astype(np.float32, order="F"), np.empty(3), np.empty(8), 8),
-            (read_only, np.empty(3), np.empty(8), 8),
-            (a, np.empty(2), np.empty(8), 8),  # tau shorter than min(m, n)
-            (a, np.empty(3), np.empty(4), 8),  # work shorter than lwork
-            (a, np.empty(6)[::2], np.empty(8), 8),  # strided tau
+            (np.zeros((3, 3)), b, 3),  # row-major
+            (a, np.ones((6, 3)), 3),
+            (a.astype(np.float32, order="F"), b, 3),
+            (read_only, b, 3),
+            (np.zeros((4, 4), order="F"), b, 3),  # R narrower or wider than the rows
+            (a, np.ones((12, 3), order="F")[::2], 3),  # strided rows
         ]:
             with pytest.raises(ValueError, match="column-major float64"):
                 kernel(*args)
-        assert np.all(a == 1.0)
+        for nb in (0, 4):
+            with pytest.raises(ValueError, match="panel width"):
+                kernel(a, b, nb)
+        assert not a.any() and np.all(b == 1.0)
 
-    @pytest.mark.parametrize("failing_call", [0, 1], ids=["workspace_query", "factorization"])
-    def test_a_lapack_failure_raises(self, monkeypatch, failing_call):
-        # info = -4 from the binding, and from lapack_lite when there is no binding
+    @pytest.mark.parametrize("fail_at", [1, 2], ids=["factorization", "second_block"])
+    def test_a_lapack_failure_raises(self, monkeypatch, fail_at):
+        # info = -4 from the binding, on the first block's fold or the second's
+        real = _blas.gil_free_dtpqrt()
+        if real is None:
+            pytest.skip("numpy links no scipy_dtpqrt_64_")
         calls = []
-        real = _blas.gil_free_dgeqrf()
-        real_lite = train_module.lapack_lite.dgeqrf
 
-        def gil_free(a, tau, work, lwork):
-            info = real(a, tau, work, lwork)
-            calls.append(("gil_free", lwork))
-            return -4 if len(calls) == failing_call + 1 else info
+        def failing(a, b, nb):
+            info = real(a, b, nb)
+            calls.append(nb)
+            return -4 if len(calls) == fail_at else info
 
-        def lite(*args):
-            out = real_lite(*args)
-            calls.append(("lapack_lite", args[6]))
-            if len(calls) == failing_call + 1:
-                out["info"] = -4
-            return out
-
-        monkeypatch.setattr(train_module, "lapack_lite", SimpleNamespace(dgeqrf=lite))
-        X, y = random_instance(np.random.default_rng(2), 20, 4)
-        hidden = sample_hidden_weights(WeightDistributionSpec(), N=4, d=1, seed=1)
-        data = make_dataset(np.linspace(-1, 1, 20)[:, None], y)
-        bindings = {"lapack_lite": None}
-        if real is not None:
-            bindings["gil_free"] = gil_free
-        for path, binding in bindings.items():
-            monkeypatch.setattr(_blas, "gil_free_dgeqrf", lambda binding=binding: binding)
-            calls.clear()
-            with pytest.raises(np.linalg.LinAlgError, match=r"dgeqrf .*info = -4"):
+        monkeypatch.setattr(_blas, "gil_free_dtpqrt", lambda: failing)
+        if fail_at == 1:
+            X, y = random_instance(np.random.default_rng(2), 20, 4)
+            with pytest.raises(np.linalg.LinAlgError, match=r"dtpqrt .*info = -4"):
                 fold_rows(None, X, y)
-            assert calls[0] == (path, -1) and [p for p, _ in calls] == [path] * (failing_call + 1)
-            for cfg in (TrainConfig(method="ols"), TrainConfig(method="constrained", lam=1.0)):
-                calls.clear()
-                with pytest.raises(np.linalg.LinAlgError, match="dgeqrf"):
-                    fit_widths(hidden, (2, 4), data, cfg, failed={})  # a failed fold always raises
+        hidden = sample_hidden_weights(WeightDistributionSpec(), N=4, d=1, seed=1)
+        n = ROW_BLOCK + 20
+        data = make_dataset(np.linspace(-1, 1, n)[:, None], np.random.default_rng(3).standard_normal(n))
+        for cfg in (TrainConfig(method="ols"), TrainConfig(method="constrained", lam=1.0)):
+            calls.clear()
+            with pytest.raises(np.linalg.LinAlgError, match=r"dtpqrt .*info = -4"):
+                fit_widths(hidden, (2, 4), data, cfg, failed={})  # a failed fold always raises
+            assert calls == [5] * fail_at  # the panel is cut to the 5 columns of [X | Y]
 
+    # the fallback as the dtpqrt fold's oracle at random cuts, with fewer
+    # rows than columns, rank-deficient designs and dead features
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), n_max=st.integers(1, 170),
+        rank=st.one_of(st.none(), st.integers(1, 169)),
         dead=st.sets(st.integers(0, 169), max_size=5), data=st.data(),
     )
-    def test_refolding_a_prefix_problem_changes_no_bit(self, seed, n, n_max, dead, data):
-        # [R_X | Q'Y] is upper triangular, so every dgeqrf reflector is the
-        # identity (tau = 0): a second QR of the prefix problem, which the
-        # constrained fit no longer takes, could only hand back the same bits
+    def test_the_fold_agrees_with_its_fallback_at_random_cuts(self, seed, n, n_max, rank, dead, data):
         cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=4))) if n > 1 else []
-        X, y = random_instance(np.random.default_rng(seed), n, n_max)
+        X, y = random_instance(np.random.default_rng(seed), n, n_max, rank if rank and rank < n_max else None)
         X[:, [j for j in dead if j < n_max]] = 0.0  # features zero on every row, as dead ReLUs are
-        r = None
-        for lo, hi in zip([0, *cuts], [*cuts, n]):
-            r = fold_rows(r, X[lo:hi], y[lo:hi])
-        problem = prefix_problem(r, data.draw(st.integers(1, n_max)))
-        refolded = fold_rows(None, *problem)
-        stacked = np.column_stack(problem)
-        assert refolded.shape == stacked.shape
-        assert refolded.tobytes() == stacked.tobytes()
+
+        def fold():
+            r = None
+            for lo, hi in zip([0, *cuts], [*cuts, n]):
+                r = fold_rows(r, X[lo:hi], y[lo:hi])
+            return r
+
+        r = fold()
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(_blas, "gil_free_dtpqrt", lambda: None)
+            r_qr = fold()
+        assert_same_gram(r, r_qr)
+        widths = sorted({1, data.draw(st.integers(1, n_max)), n_max})
+        for folded in (r, r_qr):
+            assert_solves_lstsq(folded, X, y, widths)
 
     def test_one_block_holds_the_design_and_one_buffer(self):
         hidden = sample_hidden_weights(WeightDistributionSpec(), N=200, d=5, seed=8)
@@ -650,12 +685,12 @@ class TestFoldKernel:
         assert peak < buffer_bytes + piece_bytes + 2**20
 
     def test_the_whole_fold_holds_one_2048_row_buffer_and_one_piece(self):
-        # ten blocks at a width where the block rule keeps 2 048 rows: a
-        # fold buffer of 4 096 rows alone is 3.3 MB over this bound
+        # ten blocks: R, one block of 2 048 rows and one piece; a block of
+        # 4 096 rows alone is 3.3 MB over this bound
         hidden = sample_hidden_weights(WeightDistributionSpec(), N=200, d=5, seed=8)
         Z = np.random.default_rng(9).uniform(-1, 1, (20_000, 5))
         data = make_dataset(Z, Z.sum(axis=1))
-        buffer_bytes = (201 + 2048) * 201 * 8
+        buffer_bytes = (201 + 2048) * 201 * 8  # R and the block
         piece_bytes = ROW_PIECE * 200 * 8
         tracemalloc.start()
         try:
@@ -670,7 +705,7 @@ def design_block_fold(hidden, X, y):
     """The reference: ``fold_rows`` over each block's materialized design, cut as ``fold_features`` cuts."""
 
     r = None
-    for rows in row_blocks(len(y), _block_rows(hidden.N)):
+    for rows in row_blocks(len(y)):
         r = fold_rows(r, design_matrix(hidden, X[rows]), y[rows])
     return r
 
@@ -694,19 +729,11 @@ def degenerate(hidden, dead, copies):
 
 
 class TestFoldFeatures:
-    """The fold that builds each block's features in its dgeqrf buffer."""
+    """The fold that builds each block's features in its dtpqrt buffer."""
 
-    def test_blocks_widen_from_512_features(self):
-        assert [_block_rows(N) for N in (1, 200, 510, 511)] == [ROW_BLOCK] * 4
-        assert [_block_rows(N) for N in (512, 640, 767, 1280)] == [2560, 3072, 3072, 5632]
-        assert all(_block_rows(N) % ROW_PIECE == 0 and _block_rows(N) >= 4 * (N + 1) for N in range(1, 2000))
-
-    # the oracles of the block rule: the same cuts of the same features fold
-    # to the same bits, and any cut solves the whole design's least squares.
-    # W and the risk agree to 1e-10 relative; an ill-conditioned design
-    # fixes them only to about cond * eps (random ReLU designs at d = 1
-    # reach cond = 1e9), so past cond = 1e4 the bound grows with the
-    # condition number of the kept spectrum
+    # the oracles of the flat blocks: the same cuts of the same features
+    # fold to the same bits, and any cut solves the whole design's least
+    # squares, at widths up to and past 512 features
     @settings(max_examples=20, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 5, 20]),
@@ -715,11 +742,10 @@ class TestFoldFeatures:
         copies=st.lists(st.tuples(st.integers(0, 699), st.integers(0, 699)), max_size=5),
         data=st.data(),
     )
-    def test_the_block_rule_against_its_oracles(self, seed, d, N, dead, copies, data):
-        block = _block_rows(N)
+    def test_flat_blocks_against_their_oracles(self, seed, d, N, dead, copies, data):
         n = data.draw(st.one_of(
-            st.integers(1, 3 * block + 5), st.integers(1, N),  # several blocks, or fewer rows than features
-            st.sampled_from([block, block + 3, 2 * block + 4, 3 * block + 5]),
+            st.integers(1, 3 * ROW_BLOCK + 5), st.integers(1, N),  # several blocks, or fewer rows than features
+            st.sampled_from([ROW_BLOCK, ROW_BLOCK + 3, 2 * ROW_BLOCK + 4, 3 * ROW_BLOCK + 5]),
         ))
         rng = np.random.default_rng(seed)
         hidden = degenerate(sample_hidden_weights(WeightDistributionSpec(), N=N, d=d, seed=seed), dead, copies)
@@ -734,19 +760,9 @@ class TestFoldFeatures:
             return r
 
         r = fold_features(hidden, make_dataset(X, y))
-        assert r.tobytes() == fold(block).tobytes()
-
-        W_ref, _, rank, s = np.linalg.lstsq(design, y, rcond=_SVD_RCOND)
-        resid = design @ W_ref - y
-        risk_ref = float(resid @ resid) / n
-        cond = s[0] / s[rank - 1] if rank else 1.0
-        tol = max(1e-10, 1e-14 * cond)
+        assert r.tobytes() == fold(ROW_BLOCK).tobytes()
         for folded in (r, fold(4096)):
-            W, diag = fit_ols(*prefix_problem(folded, N))
-            assert diag.effective_rank == rank
-            assert np.linalg.norm(W - W_ref) <= tol * np.linalg.norm(W_ref)
-            risk = risk_from_r(folded, W, n)
-            assert risk == pytest.approx(risk_ref, rel=tol, abs=1e-20 * float(y @ y) / n)
+            assert_solves_lstsq(folded, design, y, [N])
 
     # past 192 features OpenBLAS's gemm rounds the last N mod 8 features of
     # a 512-row piece differently from those of a whole block at d >= 2
