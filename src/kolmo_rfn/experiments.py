@@ -32,9 +32,11 @@ from .fourier import (
     sup_error_on_grid,
 )
 from .levy import LevyTriplet, bs_put_price
-from .network import design_matrix, row_blocks, sample_hidden_weights
+from .network import RandomFeatureNet, design_matrix, predict, sample_hidden_weights, subnetwork
 from .rng import derive_seed
-from .train import _NUMERIC_FAILURES, TrainConfig, fit, fit_sgd, fit_widths, fold_features
+from .train import (
+    _NUMERIC_FAILURES, TrainConfig, empirical_risk, fit, fit_sgd, fit_widths, fold_features, risk_from_r,
+)
 
 __all__ = [
     "ExperimentReport",
@@ -189,10 +191,12 @@ def run_rate_curve(spec: ExperimentSpec, datasets: tuple[Dataset, Dataset] | Non
     by the caller, e.g. for synthetic sanity checks). The widths are
     prefixes of one hidden layer and share one R factor of its train
     design, folded from row blocks, and every width is solved from that
-    R. Held-out errors come from row blocks of the test design as well, so
-    neither design is ever built whole (SGD alone needs the train rows).
-    Rows with failed fits keep their slot with a NaN error so the report
-    stays one-row-per-N.
+    R. Each width's held-out error is the square root of
+    ``empirical_risk`` of its net on the test set, the number CLI
+    ``evaluate`` prints for that model and data; ``predict`` builds the
+    test design piece by piece, so neither design is ever built whole
+    (SGD alone needs the train rows). Rows with failed fits keep their
+    slot with a NaN error so the report stays one-row-per-N.
 
     A generated test set is drawn on one worker thread while this thread
     fits the widths: the fold's ``dtpqrt`` releases the GIL, so the
@@ -233,7 +237,11 @@ def run_rate_curve(spec: ExperimentSpec, datasets: tuple[Dataset, Dataset] | Non
 
 
 def _rate_curve(spec: ExperimentSpec, train_ds: Dataset, test_data) -> ExperimentReport:
-    """The rate curve of ``spec`` on ``train_ds``; ``test_data()`` is called after the fits."""
+    """The rate curve of ``spec`` on ``train_ds``; ``test_data()`` is called after the fits.
+
+    Each solved width's net is scored by ``empirical_risk`` on the test
+    set; an error there fails every width, with its message.
+    """
 
     cfg = spec.train[0]
     hidden = sample_hidden_weights(
@@ -249,8 +257,11 @@ def _rate_curve(spec: ExperimentSpec, train_ds: Dataset, test_data) -> Experimen
         failed = dict.fromkeys(spec.N_list, str(exc))
     test_ds = test_data()  # outside the handlers: a failed test set is not a failed width
     try:
-        for N, e_hat in _held_out_rmse(hidden, solved, test_ds.X, test_ds.Y, cfg.cap).items():
-            fits[N] = (e_hat, *solved[N][1:])
+        fits = {
+            N: (math.sqrt(empirical_risk(RandomFeatureNet(subnetwork(hidden, N), W, cfg.cap), test_ds)),
+                diag, wall_ms)
+            for N, (W, diag, wall_ms) in solved.items()
+        }
     except _NUMERIC_FAILURES as exc:  # the held-out pass failed: every width did
         for N in spec.N_list:
             failed.setdefault(N, str(exc))
@@ -277,28 +288,6 @@ def _rate_curve(spec: ExperimentSpec, train_ds: Dataset, test_data) -> Experimen
     )
 
 
-def _held_out_rmse(hidden, solved: dict, X: np.ndarray, Y: np.ndarray, cap) -> dict[int, float]:
-    """Capped RMSE of every solved width against ``Y`` at the points ``X``.
-
-    The columns of the stack are the widths' W, zero-padded to the full
-    layer, so one product of a row block's design gives every width's
-    predictions.
-    """
-
-    widths = list(solved)
-    stack = np.zeros((hidden.N, len(widths)))
-    for j, N in enumerate(widths):
-        stack[:N, j] = solved[N][0]
-    sse = np.zeros(len(widths))
-    for rows in row_blocks(len(Y)):
-        resid = design_matrix(hidden, X[rows]).values @ stack
-        if cap is not None:
-            np.clip(resid, -cap, cap, out=resid)
-        resid -= Y[rows, None]
-        sse += np.einsum("ij,ij->j", resid, resid)
-    return {N: math.sqrt(float(sse[j]) / len(Y)) for j, N in enumerate(widths)}
-
-
 # ---------------------------------------------------------------------------
 # basket put
 
@@ -307,12 +296,12 @@ def _held_out_rmse(hidden, solved: dict, X: np.ndarray, Y: np.ndarray, cap) -> d
 def run_basket_put(spec: ExperimentSpec) -> ExperimentReport:
     """Learn put prices from strike alone; every trainer sees the same data.
 
-    Widths are fitted and scored as in a rate curve, through
-    ``fit_widths`` and the blocked held-out pass. The train rows are
-    folded once, and every least-squares config solves from that R; SGD
-    gets the design. For a single lognormal
-    asset the widest fit is also scored against the closed-form put
-    prices on a strike grid.
+    Widths are fitted and scored as in a rate curve: through
+    ``fit_widths``, and by ``empirical_risk`` of each width's net on the
+    test set. The train rows are folded once, and every least-squares
+    config solves from that R; SGD gets the design. For a single
+    lognormal asset the widest net's ``predict`` is also scored against
+    the closed-form put prices on a strike grid.
     """
 
     if spec.kind != "basket_put":
@@ -328,9 +317,8 @@ def run_basket_put(spec: ExperimentSpec) -> ExperimentReport:
         )
         for n, stream in ((spec.n_train, _TRAIN_DATA), (spec.n_test, _TEST_DATA))
     )
-    n_max = spec.N_list[-1]
     hidden = sample_hidden_weights(
-        spec.weight_spec, n_max, 1, derive_seed(spec.master_seed, _HIDDEN)
+        spec.weight_spec, spec.N_list[-1], 1, derive_seed(spec.master_seed, _HIDDEN)
     )
 
     single_asset = sampler.m == 1 and np.isclose(weights[0], 1.0)
@@ -348,14 +336,14 @@ def run_basket_put(spec: ExperimentSpec) -> ExperimentReport:
             r = fold_features(hidden, train_ds)
         # this module's fit, so wrapping experiments.fit wraps every width's solve
         solved = fit_widths(hidden, spec.N_list, train_ds, cfg, solve=fit, r=r)
-        held_out = _held_out_rmse(hidden, solved, test_ds.X, test_ds.Y, cfg.cap)
         for N in spec.N_list:
-            _, diag, wall_ms = solved[N]
-            rows.append((cfg.method, N, held_out[N], diag.empirical_risk, wall_ms))
-        if single_asset:
-            rmse_by_method[cfg.method] = _held_out_rmse(
-                hidden, {n_max: solved[n_max]}, strike_grid[:, None], closed, cfg.cap
-            )[n_max]
+            W, diag, wall_ms = solved[N]
+            net = RandomFeatureNet(subnetwork(hidden, N), W, cfg.cap)
+            e_hat = math.sqrt(empirical_risk(net, test_ds))
+            rows.append((cfg.method, N, e_hat, diag.empirical_risk, wall_ms))
+        if single_asset:  # net is the widest fit's
+            err = predict(net, strike_grid[:, None]) - closed
+            rmse_by_method[cfg.method] = math.sqrt(float(err @ err / err.size))
 
     methods = {cfg.method for cfg in spec.train}
     extras: dict = {"paths": spec.paths, "noise_std": spec.noise_std}
@@ -438,9 +426,12 @@ def _default_checkpoints(steps: int) -> tuple[int, ...]:
 def run_sgd_vs_ols(spec: ExperimentSpec) -> ExperimentReport:
     """Empirical-risk gap of SGD iterates against the OLS optimum.
 
-    One dataset, one hidden layer, whose OLS optimum comes from the fold
-    that every OLS row uses; SGD restarts once per sgd seed and the rows
-    hold the gap at each checkpoint averaged over those seeds.
+    One dataset, one hidden layer, folded once into the R of its train
+    design. The OLS optimum is solved from that R, and each checkpoint's
+    risk is read from it by ``risk_from_r``, so the gap compares two
+    risks of one formula. SGD runs on the design, restarting once per sgd
+    seed, and the rows hold the gap at each checkpoint averaged over
+    those seeds.
     """
 
     if spec.kind != "sgd_vs_ols":
@@ -455,10 +446,10 @@ def run_sgd_vs_ols(spec: ExperimentSpec) -> ExperimentReport:
     hidden = sample_hidden_weights(
         spec.weight_spec, N, train_ds.d, derive_seed(spec.master_seed, _HIDDEN)
     )
-    _, ols_diag, _ = fit_widths(hidden, (N,), train_ds, TrainConfig(method="ols"), solve=fit)[N]
+    r = fold_features(hidden, train_ds)
+    _, ols_diag, _ = fit_widths(hidden, (N,), train_ds, TrainConfig(method="ols"), solve=fit, r=r)[N]
     ols_risk = ols_diag.empirical_risk
     X = design_matrix(hidden, train_ds.X).values
-    y = train_ds.Y
 
     steps = base_cfg.steps
     marks = spec.checkpoints if spec.checkpoints is not None else _default_checkpoints(steps)
@@ -476,10 +467,9 @@ def run_sgd_vs_ols(spec: ExperimentSpec) -> ExperimentReport:
 
         def observer(t, w, _trace=trace, _marks=mark_set):
             if t in _marks:
-                r = X @ w - y
-                _trace[t] = float(r @ r / y.size)
+                _trace[t] = risk_from_r(r, w, train_ds.n)
 
-        _, diag = fit_sgd(X, y, cfg, observer=observer)
+        _, diag = fit_sgd(X, train_ds.Y, cfg, observer=observer)
         risk_traces.append(trace)
         final_gaps.append(trace[marks[-1]] - ols_risk)
 

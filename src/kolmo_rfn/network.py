@@ -53,12 +53,11 @@ __all__ = [
 # N0 draw for the same (spec, d, seed).
 _A_NORMAL, _A_CHI, _B_NORMAL, _B_CHI = 0, 1, 2, 3
 
-# design rows per block wherever a design is streamed rather than built
-# whole: the held-out pass of experiments, ``save_dataset``, and the TSQR
-# fold of train at every width. Folding one 2 048-row block of d = 50
-# ReLU features into the R of the rows before it with LAPACK ``dtpqrt``,
-# on one OpenBLAS thread (OpenBLAS 0.3.31, 2 shared cores), in
-# microseconds per row, median of five alternating runs, beside the
+# rows per block wherever rows are streamed in blocks: ``save_dataset``,
+# and the TSQR fold of train at every width. Folding one 2 048-row block
+# of d = 50 ReLU features into the R of the rows before it with LAPACK
+# ``dtpqrt``, on one OpenBLAS thread (OpenBLAS 0.3.31, 2 shared cores),
+# in microseconds per row, median of five alternating runs, beside the
 # ``dgeqrf`` fold of R stacked on a block that it replaced:
 #
 #   N + 1   dtpqrt, 2 048 rows   dgeqrf, stacked
@@ -261,8 +260,9 @@ def row_blocks(n: int, size: int = ROW_BLOCK) -> list[slice]:
     the slice before it. OpenBLAS computes a matrix-vector product in
     groups of 4 rows and treats a short product differently, so with this
     cut each slice's product has the bits the whole product has on one
-    BLAS thread. ``size`` is ``ROW_BLOCK`` (the held-out pass, the train
-    fold and ``save_dataset``) or ``ROW_PIECE`` (the pieces of a block).
+    BLAS thread. ``size`` is ``ROW_BLOCK`` (the train fold and
+    ``save_dataset``) or ``ROW_PIECE`` (the pieces of a fold block, and
+    of ``predict``).
     """
 
     blocks = [slice(i, min(i + size, n)) for i in range(0, n, size)]

@@ -161,8 +161,9 @@ def _mean_sq_residual(X: np.ndarray, y: np.ndarray, W: np.ndarray) -> float:
     return float(r @ r / y.size)
 
 
+@_blas.single_blas_thread()
 def fit_ols(design, Y) -> tuple[np.ndarray, FitDiagnostics]:
-    """Minimum-norm least squares.
+    """Minimum-norm least squares, on one OpenBLAS thread.
 
     Rank deficiency (including n < N) is handled by the pseudo-inverse:
     among all W with X'X W = X'Y the returned one has minimal norm.
@@ -176,8 +177,9 @@ def fit_ols(design, Y) -> tuple[np.ndarray, FitDiagnostics]:
     return W, diag
 
 
+@_blas.single_blas_thread()
 def fit_constrained(design, Y, lam: float) -> tuple[np.ndarray, FitDiagnostics]:
-    """Least squares over the ball norm(W) <= lam.
+    """Least squares over the ball norm(W) <= lam, on one OpenBLAS thread.
 
     The minimizer is W(t) = (X'X + tI)^{-1} X'Y with t = Lambda >= 0
     chosen so that norm(W) = lam, unless the minimum-norm OLS solution
@@ -195,9 +197,8 @@ def fit_constrained(design, Y, lam: float) -> tuple[np.ndarray, FitDiagnostics]:
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
     X, y = _check_xy(design, Y)
-    N = X.shape[1]
     u, s, vt = np.linalg.svd(X, full_matrices=False)
-    keep = s > _SVD_RCOND * s[0] if s.size and s[0] > 0 else np.zeros(s.shape, dtype=bool)
+    keep = s > _SVD_RCOND * s.max(initial=0.0)
     s = s[keep]
     c = u.T[keep] @ y
     vt = vt[keep]
@@ -205,9 +206,9 @@ def fit_constrained(design, Y, lam: float) -> tuple[np.ndarray, FitDiagnostics]:
     def solution_coeffs(t: float) -> np.ndarray:
         return s * c / (s * s + t)
 
-    min_norm = math.sqrt(float(np.sum((c / s) ** 2))) if s.size else 0.0
+    min_norm = math.sqrt(float(np.sum((c / s) ** 2)))
     if min_norm <= lam:
-        W = vt.T @ (c / s) if s.size else np.zeros(N)
+        W = vt.T @ (c / s)
         diag = FitDiagnostics(
             empirical_risk=_mean_sq_residual(X, y, W), lambda_multiplier=0.0,
             effective_rank=s.size,
@@ -383,8 +384,9 @@ def project_ball(w, lam: float) -> np.ndarray:
     return w * (lam / norm)
 
 
+@_blas.single_blas_thread()
 def fit_sgd(design, Y, config: TrainConfig, observer=None) -> tuple[np.ndarray, FitDiagnostics]:
-    """Projected mini-batch SGD on the empirical squared risk.
+    """Projected mini-batch SGD on the empirical squared risk, on one OpenBLAS thread.
 
     Starts at W_1 = 0 and performs exactly steps-1 updates
 
@@ -477,11 +479,7 @@ def fit_widths(
     given and raises otherwise; a failed fold always raises. ``solve`` is
     the trainer run on every width, ``fit`` unless a caller wraps it. A
     width outside ``1..hidden.N`` raises before any fold. It runs on one
-    OpenBLAS thread (``_blas.single_blas_thread``). Its callers are
-    ``run_rate_curve`` (every width, failures recorded),
-    ``run_basket_put`` (every width per train config, one fold for all
-    of them, failures raised), ``run_sgd_vs_ols`` (the OLS optimum) and
-    CLI ``train`` (one width, failures raised).
+    OpenBLAS thread (``_blas.single_blas_thread``).
     """
 
     for N in widths:
@@ -509,11 +507,13 @@ def fit_widths(
     return solved
 
 
+@_blas.single_blas_thread()
 def empirical_risk(net: RandomFeatureNet, data: Dataset) -> float:
     """Mean squared residual of the net's predictions on the data.
 
     Uses the net's own prediction pipeline, so a model carrying an
-    output cap is scored as it would actually predict.
+    output cap is scored as it would actually predict. It runs on one
+    OpenBLAS thread, so its sum does not depend on the core count.
     """
 
     if data.n < 1:

@@ -132,7 +132,10 @@ def test_run_completes_without_an_openblas(monkeypatch):
     assert len(report.rows) == 2
 
 
-@pytest.mark.parametrize("call", ["run_rate_curve", "gen_pde_dataset", "fit_widths", "predict"])
+@pytest.mark.parametrize("call", [
+    "run_rate_curve", "gen_pde_dataset", "fit_widths", "predict",
+    "fit_ols", "fit_constrained", "fit_sgd", "empirical_risk",
+])
 def test_library_entry_points_run_on_one_thread(numpy_threads, monkeypatch, call):
     # called directly, outside run_experiment and the CLI: the count seen
     # by a function the entry point calls, and restored after
@@ -140,8 +143,10 @@ def test_library_entry_points_run_on_one_thread(numpy_threads, monkeypatch, call
 
     spec = ExperimentSpec.from_dict(RATE)
     hidden = network.sample_hidden_weights(network.WeightDistributionSpec(), 5, 2, seed=1)
+    rng = np.random.default_rng(2)
+    X, y = rng.standard_normal((40, 5)), rng.standard_normal(40)
     runs = {
-        "run_rate_curve": ((experiments, "_held_out_rmse"), lambda: experiments.run_rate_curve(spec)),
+        "run_rate_curve": ((experiments, "empirical_risk"), lambda: experiments.run_rate_curve(spec)),
         "gen_pde_dataset": (
             (data, "payoff_eval"), lambda: data.gen_pde_dataset(spec.model, spec.payoff, spec.M, spec.T, 4),
         ),
@@ -153,6 +158,19 @@ def test_library_entry_points_run_on_one_thread(numpy_threads, monkeypatch, call
         "predict": (
             (network, "design_matrix"),
             lambda: network.predict(network.RandomFeatureNet(hidden=hidden, W=np.ones(5)), np.zeros((3, 2))),
+        ),
+        "fit_ols": ((train, "_mean_sq_residual"), lambda: train.fit_ols(X, y)),
+        "fit_constrained": ((train, "_mean_sq_residual"), lambda: train.fit_constrained(X, y, 0.1)),
+        "fit_sgd": (
+            (train, "_mean_sq_residual"),
+            lambda: train.fit_sgd(X, y, train.TrainConfig(method="sgd", lam=1.0, eta0=0.1, steps=20)),
+        ),
+        "empirical_risk": (
+            (train, "predict"),
+            lambda: train.empirical_risk(
+                network.RandomFeatureNet(hidden=hidden, W=np.ones(5)),
+                data.Dataset(X=X[:, :2].copy(), Y=y, label_kind="single_draw", seed=0, M=1.0, T=1.0),
+            ),
         ),
     }
     watched, run = runs[call]
@@ -190,10 +208,13 @@ CORE_COUNT_SCRIPT = """
 import hashlib, json, sys
 if sys.argv[2] == "scipy":
     import scipy.linalg  # loads scipy's OpenBLAS first, so numpy's must be found on its own
+import numpy as np
 from kolmo_rfn.cli import main
 from kolmo_rfn.config import ExperimentSpec
-from kolmo_rfn.data import gen_pde_dataset
+from kolmo_rfn.data import Dataset, gen_pde_dataset
 from kolmo_rfn.experiments import run_rate_curve
+from kolmo_rfn.network import RandomFeatureNet, WeightDistributionSpec, sample_hidden_weights
+from kolmo_rfn.train import empirical_risk, fit_ols
 
 for argv in json.loads(sys.argv[1]):
     if main(argv) != 0:
@@ -202,9 +223,18 @@ for argv in json.loads(sys.argv[1]):
 spec = ExperimentSpec.from_dict(json.loads(sys.argv[3]))
 data = gen_pde_dataset(spec.model, spec.payoff, spec.M, spec.T, 500, label_kind="mc_price", seed=3, paths=200)
 curve = run_rate_curve(spec)
+# a threaded gemm and dot split their sums by thread at these sizes
+rng = np.random.default_rng(3)
+W, _ = fit_ols(rng.standard_normal((40000, 50)), rng.standard_normal(40000))
+hidden = sample_hidden_weights(WeightDistributionSpec(), 10, 2, seed=3)
+points = Dataset(X=rng.uniform(-1, 1, (100000, 2)), Y=rng.standard_normal(100000),
+                 label_kind="single_draw", seed=0, M=1.0, T=1.0)
+point_risk = empirical_risk(RandomFeatureNet(hidden, rng.standard_normal(10)), points)
 print(json.dumps({
     "gen_pde_dataset": hashlib.sha256(data.X.tobytes() + data.Y.tobytes()).hexdigest(),
     "run_rate_curve": [[N, e_hat.hex(), risk.hex()] for N, e_hat, risk, _ in curve.rows],
+    "fit_ols": hashlib.sha256(W.tobytes()).hexdigest(),
+    "empirical_risk": point_risk.hex(),
 }))
 """
 

@@ -51,7 +51,7 @@ from kolmo_rfn.network import (
     subnetwork,
 )
 from kolmo_rfn.rng import derive_seed
-from kolmo_rfn.train import TrainConfig, empirical_risk, fit, fit_ols
+from kolmo_rfn.train import TrainConfig, empirical_risk, fit, fit_ols, fit_widths
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -719,6 +719,54 @@ class TestBasketPut:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n * N
+
+
+class TestHeldOutErrorMatchesEvaluate:
+    """A report's e_hat is what CLI ``evaluate`` prints for that width's net on the test set.
+
+    W comes from ``fit_widths`` on the same data, so every difference
+    would be the scorer's; the cap clips some predictions.
+    """
+
+    @pytest.mark.parametrize("cfg", [
+        TrainConfig(method="ols"), TrainConfig(method="constrained", lam=0.5, cap=0.05),
+    ], ids=["ols", "constrained_capped"])
+    def test_rate_curve(self, cfg):
+        # a test set of more than one block
+        spec = small_rate_spec(train=(cfg,))
+        train = gen_pde_dataset(spec.model, spec.payoff, spec.M, spec.T, spec.n_train, seed=1)
+        test = gen_pde_dataset(spec.model, spec.payoff, spec.M, spec.T, ROW_BLOCK + 952, seed=2)
+        rep = run_rate_curve(spec, datasets=(train, test))
+        hidden = sample_hidden_weights(spec.weight_spec, 20, 2, derive_seed(spec.master_seed, _HIDDEN))
+        solved = fit_widths(hidden, spec.N_list, train, cfg)
+        for N, e_hat, _, _ in rep.rows:
+            net = RandomFeatureNet(subnetwork(hidden, N), solved[N][0], cfg.cap)
+            assert e_hat == math.sqrt(empirical_risk(net, test))
+
+    def test_basket_put(self):
+        spec = small_basket_spec(
+            n_test=ROW_BLOCK + 1, N_list=(20, 40),
+            train=(TrainConfig(method="ols"), TrainConfig(method="constrained", lam=0.5, cap=0.05)),
+        )
+        rep = run_basket_put(spec)
+        train, test = (
+            gen_basket_put_dataset(spec.model, basket_weights(spec.model, None), spec.M, n,
+                                   seed=derive_seed(spec.master_seed, s), paths=spec.paths)
+            for n, s in ((spec.n_train, _TRAIN_DATA), (spec.n_test, _TEST_DATA))
+        )
+        hidden = sample_hidden_weights(spec.weight_spec, 40, 1, derive_seed(spec.master_seed, _HIDDEN))
+        grid = np.linspace(0.0, spec.M, spec.grid_points)
+        closed = bs_put_price(1.0, grid, 0.2, 1.0)
+        rows = iter(rep.rows)
+        for cfg in spec.train:
+            solved = fit_widths(hidden, spec.N_list, train, cfg)
+            for N in spec.N_list:
+                method, width, e_hat, _, _ = next(rows)
+                assert (method, width) == (cfg.method, N)
+                net = RandomFeatureNet(subnetwork(hidden, N), solved[N][0], cfg.cap)
+                assert e_hat == math.sqrt(empirical_risk(net, test))
+            err = predict(net, grid[:, None]) - closed  # the widest net
+            assert rep.extras["rmse_closed_form"][cfg.method] == math.sqrt(float(err @ err / err.size))
 
 
 def small_oracle_spec(**overrides):

@@ -309,6 +309,7 @@ def _constrained_cases():
     Z = np.random.default_rng(12).uniform(-1, 1, (80, 2))
     cases.append(pytest.param(design_matrix(hidden, Z).values, Z[:, 0] ** 2 + Z[:, 1], id="relu_design"))
     cases.append(pytest.param(np.zeros((6, 4)), rng.standard_normal(6), id="zero_design"))
+    cases.append(pytest.param(np.zeros((6, 0)), rng.standard_normal(6), id="zero_columns"))
     return cases
 
 
