@@ -18,8 +18,7 @@ building each block's features inside the fold's own buffer,
 as any leading-column width, and ``risk_from_r`` gives the design's
 empirical risk. ``fit_widths`` runs that path (or SGD on the design)
 for every caller, so ``fit_ols`` and ``fit_constrained`` never
-decompose a tall design. ``fold_rows`` folds a design handed to it, the
-reference ``fold_features`` is tested against.
+decompose a tall design.
 
 The output cap, when a model carries one, acts at prediction time
 only; no trainer ever sees it.
@@ -52,7 +51,6 @@ __all__ = [
     "FitDiagnostics",
     "fit_ols",
     "fit_constrained",
-    "fold_rows",
     "fold_features",
     "prefix_problem",
     "risk_from_r",
@@ -65,7 +63,8 @@ __all__ = [
 
 _SGD_INDEX_STREAM = 60
 
-# SGD steps whose batch rows one fancy index gathers
+# SGD steps whose batch indices one draw takes and whose rows one fancy
+# index gathers
 _SGD_GATHER = 16
 
 # singular values below this fraction of the largest are treated as zero
@@ -190,7 +189,7 @@ def fit_constrained(design, Y, lam: float) -> tuple[np.ndarray, FitDiagnostics]:
     s_i (U'Y)_i / (s_i^2 + t).
 
     The thin SVD holds an n x N ``U``, so a tall design should come
-    through ``fold_rows`` and ``prefix_problem``, as ``fit_widths``
+    through ``fold_features`` and ``prefix_problem``, as ``fit_widths``
     sends it: the prefix problem has at most N rows and the same W.
     """
 
@@ -271,48 +270,18 @@ def _fold(r: np.ndarray, rows: np.ndarray) -> None:
         raise np.linalg.LinAlgError(f"LAPACK dtpqrt failed with info = {info}")
 
 
-def fold_rows(r: np.ndarray | None, design, Y) -> np.ndarray:
-    """Fold the rows ``[X | Y]`` into the R of a running TSQR.
-
-    ``r`` is the (N + 1) x (N + 1) R factor of every row folded so far
-    (None before the first block, which folds into zeros). The R of ``r``
-    stacked on the new rows is the R of all rows together, so a design
-    streamed in row blocks is never held whole (Demmel, Grigori, Hoemmen
-    & Langou, SIAM J. Sci. Comput. 2012). Returns a new R; ``r`` is left
-    as it was.
-
-    ``fit_widths`` folds through ``fold_features``, which builds each
-    block's features in the fold's buffer instead of taking a design;
-    this function is the reference it is tested against, on the same
-    kernel.
-    """
-
-    X, y = _check_xy(design, Y)
-    width = X.shape[1] + 1
-    if r is not None and r.shape[1] != width:
-        raise ValueError(
-            f"R was folded from {r.shape[1] - 1} features but the design has {X.shape[1]}"
-        )
-    out = np.zeros((width, width), order="F") if r is None else np.array(r, order="F")
-    rows = np.empty((y.size, width), order="F")
-    rows[:, :-1] = X
-    rows[:, -1] = y
-    _fold(out, rows)
-    return out
-
-
 def fold_features(hidden: HiddenWeights, data: Dataset) -> np.ndarray:
     """R of ``[design_matrix(hidden, data.X) | data.Y]``, folded without the design.
 
-    Each block of ``row_blocks(data.n)`` is folded as ``fold_rows`` folds
-    it, but its features are built ``ROW_PIECE`` rows at a time straight
-    into the buffer ``dtpqrt`` folds, so no block design is held beside
-    it. The filled rows are checked for non-finite values before they are
-    folded. Where the pieces have the bits of the whole block's design
-    (``network.ROW_PIECE``), R has the bits of ``fold_rows`` over design
-    blocks cut the same way; elsewhere the gemm rounds some features of a
-    piece differently, and R agrees to rounding. Other cuts give the same
-    R to rounding.
+    Each block of ``row_blocks(data.n)`` is folded into R in place, its
+    features built ``ROW_PIECE`` rows at a time straight into the buffer
+    ``dtpqrt`` folds, so no block design is held beside it. The filled
+    rows are checked for non-finite values before they are folded. Where
+    the pieces have the bits of the whole block's design
+    (``network.ROW_PIECE``), R has the bits of folding each materialized
+    design block on the same kernel; elsewhere the gemm rounds some
+    features of a piece differently, and R agrees to rounding. Other cuts
+    give the same R to rounding.
     """
 
     if data.n == 0:
@@ -395,9 +364,14 @@ def fit_sgd(design, Y, config: TrainConfig, observer=None) -> tuple[np.ndarray, 
     with eta_t = eta0 / sqrt(t) and J a batch of indices drawn i.i.d.
     uniformly (with replacement) from a substream keyed only by the
     config seed, so runs are reproducible and independent of how the
-    data were produced. ``observer(t, W_t)`` is invoked on every
-    iterate including the initial zero vector; the array passed is a
-    snapshot the observer may keep.
+    data were produced. One draw takes the indices of ``_SGD_GATHER``
+    steps just before their rows are gathered, so the working memory is
+    one gather of indices and rows whatever ``steps`` is; draws of any
+    size read the stream in order, so the cut does not change J.
+
+    ``observer(t, W_t)`` is invoked on every iterate including the
+    initial zero vector; the array passed is a snapshot the observer may
+    keep.
 
     With ``config.average`` the returned vector is the average of all
     iterates W_1..W_steps instead of the final one (a Polyak-style
@@ -421,28 +395,26 @@ def fit_sgd(design, Y, config: TrainConfig, observer=None) -> tuple[np.ndarray, 
     total = W.copy() if config.average else None
 
     idx_stream = substream(config.seed, _SGD_INDEX_STREAM)
-    block = 8192
     t = 1
     while t < steps:
-        J = idx_stream.integers(0, n, size=(min(block, steps - t), batch))
-        for k in range(0, J.shape[0], _SGD_GATHER):
-            Jg = J[k:k + _SGD_GATHER]
-            # in place, rounding as (2/batch) X_J'(X_J W - y_J) and project_ball do
-            for Xb, yb in zip(X[Jg], y[Jg]):
-                r = np.dot(Xb, W)
-                r -= yb
-                g = np.dot(r, Xb)
-                g *= 2.0 / batch
-                g *= config.eta0 / math.sqrt(t)
-                W -= g
-                norm = math.sqrt(np.dot(W, W))
-                if not norm <= lam:  # a NaN norm scales W too, as in project_ball
-                    W *= lam / norm
-                t += 1
-                if observer is not None:
-                    observer(t, W.copy())
-                if total is not None:
-                    total += W
+        Jg = idx_stream.integers(0, n, size=(min(_SGD_GATHER, steps - t), batch))
+        # in place, rounding as (2/batch) X_J'(X_J W - y_J) and project_ball do
+        for Xb, yb in zip(X[Jg], y[Jg]):
+            r = np.dot(Xb, W)
+            r -= yb
+            g = np.dot(r, Xb)
+            g *= 2.0 / batch
+            g *= config.eta0 / math.sqrt(t)
+            W -= g
+            norm = math.sqrt(np.dot(W, W))
+            if not norm <= lam:  # a NaN norm scales W too, as in project_ball
+                W *= lam / norm
+            t += 1
+            if observer is not None:
+                observer(t, W.copy())
+            if total is not None:
+                total += W
+        del Xb, yb  # views that would keep this gather's rows alive through the next
 
     out = total / steps if total is not None else W
     diag = FitDiagnostics(

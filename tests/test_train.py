@@ -3,13 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kolmo_rfn import _blas
 from kolmo_rfn import train as train_module
 from kolmo_rfn.config import train_from_dict, train_to_dict
-from kolmo_rfn.data import Dataset
+from kolmo_rfn.data import _X_STREAM, Dataset
 from kolmo_rfn.network import (
     ROW_BLOCK,
     ROW_PIECE,
@@ -22,6 +22,7 @@ from kolmo_rfn.network import (
 )
 from kolmo_rfn.rng import substream
 from kolmo_rfn.train import (
+    _SGD_GATHER,
     _SGD_INDEX_STREAM,
     _SVD_RCOND,
     FitDiagnostics,
@@ -33,7 +34,6 @@ from kolmo_rfn.train import (
     fit_sgd,
     fit_widths,
     fold_features,
-    fold_rows,
     prefix_problem,
     project_ball,
     risk_from_r,
@@ -357,6 +357,31 @@ def _streamed_cases():
     cases.append(pytest.param(design_matrix(hidden, Z).values, Z[:, 0] ** 2 + Z[:, 1], id="relu_design"))
     cases.append(pytest.param(np.zeros((6, 4)), rng.standard_normal(6), id="zero_design"))
     return cases
+
+
+def fold_rows(r, design, Y):
+    """Fold the rows ``[X | Y]`` of a design handed to it into the R of a running TSQR.
+
+    ``r`` is the (N + 1) x (N + 1) R factor of every row folded so far
+    (None before the first block, which folds into zeros). The R of ``r``
+    stacked on the new rows is the R of all rows together (Demmel,
+    Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 2012). Returns a new
+    R; ``r`` is left as it was. It is the reference ``fold_features`` is
+    held to: both fold through ``train._fold``.
+    """
+
+    X, y = train_module._check_xy(design, Y)
+    width = X.shape[1] + 1
+    if r is not None and r.shape[1] != width:
+        raise ValueError(
+            f"R was folded from {r.shape[1] - 1} features but the design has {X.shape[1]}"
+        )
+    out = np.zeros((width, width), order="F") if r is None else np.array(r, order="F")
+    rows = np.empty((y.size, width), order="F")
+    rows[:, :-1] = X
+    rows[:, -1] = y
+    train_module._fold(out, rows)
+    return out
 
 
 def fold_in_blocks(X, y):
@@ -933,6 +958,25 @@ class TestSgd:
         r = X @ W - y
         assert diag.empirical_risk == pytest.approx(r @ r / len(y))
 
+    def test_memory_does_not_grow_with_steps(self):
+        X, y = random_instance(np.random.default_rng(16), 1000, 50)
+
+        def peak(steps):
+            cfg = TrainConfig(method="sgd", lam=5.0, eta0=0.05, steps=steps, seed=2)
+            tracemalloc.start()
+            try:
+                fit_sgd(X, y, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(20)  # one-off allocations of a first call
+        # one gather of 16 x 64 indices, labels and 50-feature rows, whatever
+        # the step count; an 8 192 x 64 block of indices alone is 4 MB
+        gather_bytes = _SGD_GATHER * 64 * (1 + 1 + 50) * 8
+        assert peak(20_000) <= peak(2_000) + 2**16
+        assert peak(20_000) <= gather_bytes + 2**16
+
     def test_dispatch(self):
         rng = np.random.default_rng(15)
         X, y = random_instance(rng, 20, 4)
@@ -975,8 +1019,9 @@ def sgd_per_step(X, y, config, observer=None):
 
 
 class TestSgdAgainstPerStepLoop:
-    # fit_sgd gathers the rows of several steps at once and updates W in
-    # place; the per-step loop above is its oracle, bit for bit
+    # fit_sgd draws the indices and gathers the rows of several steps at
+    # once and updates W in place; the per-step loop above, which draws
+    # its indices in 8 192-row blocks, is its oracle, bit for bit
 
     @pytest.mark.parametrize("average", [False, True], ids=["last", "averaged"])
     @pytest.mark.parametrize("lam", [0.3, 1e3], ids=["projected", "free"])
@@ -1008,6 +1053,47 @@ class TestSgdAgainstPerStepLoop:
         # the radius binds on some iterate exactly when it is meant to
         norms = [np.linalg.norm(w) for _, w in want]
         assert (max(norms) > lam * (1 - 1e-12)) == (lam < 1.0)
+
+
+def drawn_in_pieces(stream, rows, piece, draw):
+    """``rows`` rows of ``draw(stream, k)``, drawn ``piece`` rows at a time."""
+
+    return np.concatenate([draw(stream, min(piece, rows - t)) for t in range(0, rows, piece)])
+
+
+class TestDrawsInPieces:
+    # fit_sgd draws each gather's indices as it uses them, and the oracle
+    # sgd_per_step draws 8 192-row blocks: both must read the same values
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 70),
+        n=st.sampled_from([1, 2, 7, 1000, 2**32 + 5]), rows=st.integers(1, 2 * 8192 + 40),
+    )
+    @example(seed=0, batch=64, n=1000, rows=8192 + 37)
+    @example(seed=1, batch=5, n=7, rows=2 * 8192 + 13)
+    @example(seed=2, batch=1, n=2**32 + 5, rows=8192 + 1)
+    @example(seed=3, batch=70, n=2, rows=8191)
+    def test_gather_draws_equal_block_draws(self, seed, batch, n, rows):
+        def draw(stream, k):
+            return stream.integers(0, n, size=(k, batch))
+
+        got = drawn_in_pieces(substream(seed, _SGD_INDEX_STREAM), rows, _SGD_GATHER, draw)
+        want = drawn_in_pieces(substream(seed, _SGD_INDEX_STREAM), rows, 8192, draw)
+        assert got.shape == (rows, batch) and np.array_equal(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), d=st.integers(1, 12), rows=st.integers(1, 3000),
+        piece=st.integers(1, 700),
+    )
+    @example(seed=0, d=3, rows=2048 + 5, piece=_SGD_GATHER)
+    def test_input_rows_drawn_in_pieces_equal_one_draw(self, seed, d, rows, piece):
+        def draw(stream, k):
+            return stream.uniform(-2.0, 2.0, size=(k, d))
+
+        got = drawn_in_pieces(substream(seed, _X_STREAM), rows, piece, draw)
+        assert np.array_equal(got, draw(substream(seed, _X_STREAM), rows))
 
 
 class TestRiskAndErrorEstimate:
