@@ -46,6 +46,7 @@ import numpy as np
 from ._blas import single_blas_thread
 from .levy import (
     _CHUNK,
+    _check_psd,
     IncrementSampler,
     LevyTriplet,
     Payoff,
@@ -132,6 +133,7 @@ class LognormalSpec:
         m = s0.shape[0]
         if cov.shape != (m, m):
             raise ValueError(f"cov shape {cov.shape} does not match {m} assets")
+        _check_psd(cov, "cov")
         if (s0 <= 0).any():
             raise ValueError("initial prices must be positive")
         if self.T < 0:

@@ -301,13 +301,18 @@ def run_basket_put(spec: ExperimentSpec) -> ExperimentReport:
     test set. The train rows are folded once, and every least-squares
     config solves from that R; SGD gets the design. For a single
     lognormal asset the widest net's ``predict`` is also scored against
-    the closed-form put prices on a strike grid.
+    the closed-form put prices on a strike grid. Rows and that score are
+    keyed by method, so each method may be trained once.
     """
 
     if spec.kind != "basket_put":
         raise ValueError(f"spec kind is {spec.kind!r}")
     if not isinstance(spec.model, LognormalSpec):
         raise ValueError("basket_put needs a lognormal terminal-price model")
+    methods = [cfg.method for cfg in spec.train]
+    for method in methods:
+        if methods.count(method) > 1:
+            raise ValueError(f"basket_put rows are keyed by method; {method!r} is trained twice")
     sampler = spec.model
     weights = basket_weights(sampler, spec.basket_weights)
     train_ds, test_ds = (
@@ -345,7 +350,6 @@ def run_basket_put(spec: ExperimentSpec) -> ExperimentReport:
             err = predict(net, strike_grid[:, None]) - closed
             rmse_by_method[cfg.method] = math.sqrt(float(err @ err / err.size))
 
-    methods = {cfg.method for cfg in spec.train}
     extras: dict = {"paths": spec.paths, "noise_std": spec.noise_std}
     if single_asset:
         extras["rmse_closed_form"] = rmse_by_method
@@ -417,8 +421,6 @@ def _default_checkpoints(steps: int) -> tuple[int, ...]:
         for m in (t // 10 * 3, t):
             if 1 < m <= steps and m > marks[-1]:
                 marks.append(m)
-    if marks[-1] != steps:
-        marks.append(steps)
     return tuple(marks)
 
 
@@ -431,7 +433,8 @@ def run_sgd_vs_ols(spec: ExperimentSpec) -> ExperimentReport:
     risk is read from it by ``risk_from_r``, so the gap compares two
     risks of one formula. SGD runs on the design, restarting once per sgd
     seed, and the rows hold the gap at each checkpoint averaged over
-    those seeds.
+    those seeds. The checkpoints always end at T = steps, so the final
+    gaps are those of the last iterate.
     """
 
     if spec.kind != "sgd_vs_ols":
@@ -453,7 +456,8 @@ def run_sgd_vs_ols(spec: ExperimentSpec) -> ExperimentReport:
 
     steps = base_cfg.steps
     marks = spec.checkpoints if spec.checkpoints is not None else _default_checkpoints(steps)
-    marks = tuple(sorted(set(int(m) for m in marks)))
+    # the last row is the last iterate, whatever the list
+    marks = tuple(sorted({int(m) for m in marks} | {steps}))
     if marks[0] < 1 or marks[-1] > steps:
         raise ValueError("checkpoints must lie in [1, steps]")
 
@@ -469,9 +473,9 @@ def run_sgd_vs_ols(spec: ExperimentSpec) -> ExperimentReport:
             if t in _marks:
                 _trace[t] = risk_from_r(r, w, train_ds.n)
 
-        _, diag = fit_sgd(X, train_ds.Y, cfg, observer=observer)
+        fit_sgd(X, train_ds.Y, cfg, observer=observer)
         risk_traces.append(trace)
-        final_gaps.append(trace[marks[-1]] - ols_risk)
+        final_gaps.append(trace[steps] - ols_risk)
 
     wall = (time.perf_counter() - t0) * 1e3
     rows = []

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .levy import Payoff, payoff_log_eval
+from .levy import Payoff, _check_psd, payoff_log_eval
 from .network import HiddenWeights, WeightDistributionSpec, pi_b, pi_w
 
 __all__ = [
@@ -45,9 +45,6 @@ __all__ = [
     "sup_error_on_grid",
 ]
 
-# below this the closed-form transforms switch to 4th-order series
-_TAYLOR_CUTOFF = 1e-4
-
 # the closed form of a table segment's first moment loses eps/|eta|
 # absolutely, so its series (through eta^15) takes over below this
 _MOMENT_CUTOFF = 0.5
@@ -61,34 +58,22 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _WINDOW_SDS = 12.0
 
 
-def _tent_base(eta: np.ndarray) -> np.ndarray:
-    """2 (1 - cos eta) / eta^2 with its removable singularity filled in.
-
-    Evaluated as sinc(eta/2)^2, the cancellation-free equivalent; the
-    series branch below the cutoff keeps the limit exact.
-    """
-
-    out = np.empty(eta.shape)
-    small = np.abs(eta) < _TAYLOR_CUTOFF
-    e2 = eta[small] ** 2
-    out[small] = 1.0 - e2 / 12.0 + e2 * e2 / 360.0
-    big = ~small
-    out[big] = np.sinc(eta[big] / (2.0 * np.pi)) ** 2
-    return out
-
-
 def phi_hat_tent(center: float, width: float, xi):
     """Transform of the hat max(1 - |x - center|/width, 0).
 
-    The unit hat at zero transforms to (2 pi)^{-1/2} 2(1 - cos xi)/xi^2;
-    shifting multiplies by e^{-i center xi} and scaling by width stretches
-    the frequency axis and the amplitude.
+    The unit hat at zero transforms to (2 pi)^{-1/2} 2(1 - cos xi)/xi^2,
+    evaluated as sinc(xi/2)^2, which has no cancellation and is exact
+    at 0; shifting multiplies by e^{-i center xi} and scaling by width
+    stretches the frequency axis and the amplitude.
     """
 
     if not width > 0:
         raise ValueError("width must be positive")
     arr = np.asarray(xi, dtype=float)
-    vals = width * _INV_SQRT_2PI * np.exp(-1j * center * arr) * _tent_base(width * arr)
+    vals = (
+        width * _INV_SQRT_2PI * np.exp(-1j * center * arr)
+        * np.sinc(width * arr / (2.0 * np.pi)) ** 2
+    )
     return complex(vals[()]) if arr.ndim == 0 else vals
 
 
@@ -98,25 +83,11 @@ def phi_hat_indicator(lo: float, hi: float, xi):
     if not hi > lo:
         raise ValueError("indicator needs lo < hi")
     arr = np.asarray(xi, dtype=float)
-    flat = np.atleast_1d(arr).astype(float)
-    out = np.empty(flat.shape, dtype=complex)
-    small = np.abs(flat) < _TAYLOR_CUTOFF
-    z = -1j * flat[small]
-    # integral of e^{-i x xi} over [lo, hi], expanded to 4th order
-    acc = np.zeros(small.sum(), dtype=complex)
-    fact = 1.0
-    for k in range(5):
-        fact *= max(k, 1)
-        acc += z**k * (hi ** (k + 1) - lo ** (k + 1)) / ((k + 1) * fact)
-    out[small] = acc
-    big = ~small
-    xb = flat[big]
     # factor out the midpoint phase; the rest is a stable sinc
     mid = 0.5 * (lo + hi)
     width = hi - lo
-    out[big] = width * np.exp(-1j * mid * xb) * np.sinc(width * xb / (2.0 * np.pi))
-    out *= _INV_SQRT_2PI
-    return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    out = width * np.exp(-1j * mid * arr) * np.sinc(width * arr / (2.0 * np.pi)) * _INV_SQRT_2PI
+    return complex(out[()]) if arr.ndim == 0 else out
 
 
 def _moment_base(eta: np.ndarray) -> np.ndarray:
@@ -162,18 +133,6 @@ def phi_hat_table(xs, ys, xi):
     )
     out = _INV_SQRT_2PI * (seg @ (2.0 * half))
     return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-
-def _check_psd(cov: np.ndarray) -> np.ndarray:
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    if cov.shape[0] != cov.shape[1]:
-        raise ValueError("covariance must be square")
-    if not np.allclose(cov, cov.T, rtol=1e-12, atol=1e-12):
-        raise ValueError("covariance must be symmetric")
-    eig = np.linalg.eigvalsh(cov)
-    if eig.min() < -1e-12 * max(1.0, abs(eig.max())):
-        raise ValueError("covariance must be positive semidefinite")
-    return cov
 
 
 def char_fn_gaussian(cov, xi):
@@ -240,15 +199,13 @@ class FourierProfile:
         )
 
 
-def gaussian_profile(payoff: Payoff, M: float, C: float, cov: float | None = None) -> FourierProfile:
+def gaussian_profile(payoff: Payoff, M: float, C: float) -> FourierProfile:
     """One-dimensional profile for a compactly supported payoff and Gaussian V.
 
-    ``cov`` is V's variance; the default 2C meets the decay bound with
-    equality. Payoff kinds: tent, indicator (1-d), table.
+    V's variance is 2C, which meets the decay bound with equality.
+    Payoff kinds: tent, indicator (1-d), table.
     """
 
-    if cov is None:
-        cov = 2.0 * C
     if payoff.kind == "tent":
         c, w = payoff.params["center"], payoff.params["width"]
         base = lambda xs: phi_hat_tent(c, w, xs)
@@ -263,7 +220,7 @@ def gaussian_profile(payoff: Payoff, M: float, C: float, cov: float | None = Non
     else:
         raise ValueError(f"no closed-form transform for payoff kind {payoff.kind!r}")
 
-    cov_mat = _check_psd([[float(cov)]])
+    cov_mat = _check_psd([[2.0 * C]])
     return FourierProfile(
         phi_hat=lambda rows: base(np.atleast_2d(rows)[:, 0]),
         char_V=lambda rows: _gaussian_char(cov_mat, np.atleast_2d(rows)),

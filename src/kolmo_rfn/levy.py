@@ -97,6 +97,24 @@ class CompoundPoissonSpec:
         return probs, ys
 
 
+def _check_psd(matrix, name: str = "covariance") -> np.ndarray:
+    """``matrix`` as a 2-d float array, if square, symmetric and positive semidefinite.
+
+    Symmetric and semidefinite to 1e-12 of its Frobenius norm (of 1 for
+    a norm below 1).
+    """
+
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"{name} must be square")
+    scale = np.linalg.norm(matrix)
+    if scale > 0 and np.linalg.norm(matrix - matrix.T) > 1e-12 * scale:
+        raise ValueError(f"{name} must be symmetric")
+    if np.linalg.eigvalsh(0.5 * (matrix + matrix.T)).min() < -1e-12 * max(scale, 1.0):
+        raise ValueError(f"{name} must be positive semidefinite")
+    return matrix
+
+
 @dataclass(frozen=True, eq=False)
 class LevyTriplet:
     """Characteristic triplet (sigma, gamma, jumps)."""
@@ -113,12 +131,7 @@ class LevyTriplet:
         d = gamma.shape[0]
         if sigma.shape != (d, d):
             raise ValueError(f"sigma shape {sigma.shape} does not match drift dimension {d}")
-        scale = np.linalg.norm(sigma)
-        if scale > 0 and np.linalg.norm(sigma - sigma.T) > 1e-12 * scale:
-            raise ValueError("sigma must be symmetric")
-        eigs = np.linalg.eigvalsh(0.5 * (sigma + sigma.T))
-        if eigs.min() < -1e-12 * max(scale, 1.0):
-            raise ValueError("sigma must be positive semidefinite")
+        _check_psd(sigma, "sigma")
         if self.jumps is not None and self.jumps.d != d:
             raise ValueError(f"jump dimension {self.jumps.d} does not match d={d}")
         self.sigma.setflags(write=False)
@@ -527,18 +540,8 @@ def price_mc(triplet: LevyTriplet, payoff: Payoff, x, T: float, paths: int, rng)
 
 _SQRT1_2 = math.sqrt(0.5)
 
-
-def _ndtr_one(a: float) -> float:
-    # Cephes' ndtr: erf near zero, erfc in the tails where erf would lose digits
-    x = a * _SQRT1_2
-    z = abs(x)
-    if z < _SQRT1_2:
-        return 0.5 + 0.5 * math.erf(x)
-    y = 0.5 * math.erfc(z)
-    return 1.0 - y if x > 0 else y
-
-
-_ndtr_ufunc = np.frompyfunc(_ndtr_one, 1, 1)
+# Phi(a) = erfc(-a / sqrt(2)) / 2, which keeps its relative accuracy in the lower tail
+_ndtr_ufunc = np.frompyfunc(lambda a: 0.5 * math.erfc(-a * _SQRT1_2), 1, 1)
 
 
 def _ndtr(x) -> np.ndarray:

@@ -57,15 +57,14 @@ _A_NORMAL, _A_CHI, _B_NORMAL, _B_CHI = 0, 1, 2, 3
 # and the TSQR fold of train at every width. Folding one 2 048-row block
 # of d = 50 ReLU features into the R of the rows before it with LAPACK
 # ``dtpqrt``, on one OpenBLAS thread (OpenBLAS 0.3.31, 2 shared cores),
-# in microseconds per row, median of five alternating runs, beside the
-# ``dgeqrf`` fold of R stacked on a block that it replaced:
+# in microseconds per row, median of five runs:
 #
-#   N + 1   dtpqrt, 2 048 rows   dgeqrf, stacked
-#     161   3.7                  4.9 at 2 048 rows
-#     201   5.6                  7.0 at 2 048
-#     401   16.3                 19.1 at 2 048
-#     641   36.9                 37.7 at 3 072
-#   1 281   150                  154 at 5 632
+#   N + 1   2 048 rows
+#     161   3.7
+#     201   5.6
+#     401   16.3
+#     641   36.9
+#   1 281   150
 #
 # ``dtpqrt`` skips R's zeros, so a short block is not slowed by the
 # N + 1 rows of R, and one flat block size serves every width

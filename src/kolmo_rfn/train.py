@@ -184,9 +184,11 @@ def fit_constrained(design, Y, lam: float) -> tuple[np.ndarray, FitDiagnostics]:
     chosen so that norm(W) = lam, unless the minimum-norm OLS solution
     already fits inside the ball, in which case Lambda = 0. Since
     f(t) = norm(W(t)) is strictly decreasing where positive, Lambda is
-    found by doubling a bracket and bisecting. One SVD of X serves
-    every f evaluation: with X = U diag(s) V', f(t) is the norm of
-    s_i (U'Y)_i / (s_i^2 + t).
+    found by doubling a bracket and bisecting it to a width of 1e-10 of
+    its upper end, which is returned: f(hi) <= lam keeps W in the ball,
+    and as t f'(t) / f(t) lies in [-1, 0], f(hi) is within 1e-10 lam of
+    lam. One SVD of X serves every f evaluation: with X = U diag(s) V',
+    f(t) is the norm of s_i (U'Y)_i / (s_i^2 + t).
 
     The thin SVD holds an n x N ``U``, so a tall design should come
     through ``fold_features`` and ``prefix_problem``, as ``fit_widths``
@@ -225,24 +227,18 @@ def fit_constrained(design, Y, lam: float) -> tuple[np.ndarray, FitDiagnostics]:
     else:  # pragma: no cover - would need astronomically scaled data
         raise ArithmeticError("failed to bracket the norm constraint")
     lo = 0.0
-    lam_mult = hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        val = f(mid)
-        lam_mult = mid
-        if abs(val - lam) <= 1e-8 * lam:
-            break
-        if val > lam:
+        if f(mid) > lam:
             lo = mid
         else:
             hi = mid
         if hi - lo <= 1e-10 * hi:
-            lam_mult = hi  # f(hi) <= lam keeps the iterate feasible
             break
 
-    W = vt.T @ solution_coeffs(lam_mult)
+    W = vt.T @ solution_coeffs(hi)
     diag = FitDiagnostics(
-        empirical_risk=_mean_sq_residual(X, y, W), lambda_multiplier=lam_mult,
+        empirical_risk=_mean_sq_residual(X, y, W), lambda_multiplier=hi,
         effective_rank=s.size,
     )
     return W, diag

@@ -471,6 +471,20 @@ class TestExperimentCommand:
         assert main(["experiment", "basket-put", "--config", str(rate_config)]) == 1
         assert "rate_curve" in capsys.readouterr().err
 
+    def test_basket_put_repeating_a_method_exits_1(self, tmp_path, capsys):
+        doc = {
+            "kind": "basket_put",
+            "model": {"type": "lognormal", "s0": [1.0], "cov": [[0.04]], "T": 1.0},
+            "n_train": 50, "n_test": 20, "N_list": [5], "paths": 10,
+            "train": [{"method": "ols"}, {"method": "ols", "cap": 0.05}],
+        }
+        config = tmp_path / "basket.json"
+        config.write_text(json.dumps(doc))
+        assert main(["experiment", "basket-put", "--config", str(config),
+                     "--out", str(tmp_path / "b")]) == 1
+        assert "'ols' is trained twice" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
+
     def test_underscore_kind_accepted(self, tmp_path, rate_config):
         assert main(["experiment", "rate_curve", "--config", str(rate_config),
                      "--out", str(tmp_path / "r2")]) == 0

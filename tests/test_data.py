@@ -102,6 +102,17 @@ class TestLognormal:
         with pytest.raises(ValueError):
             LognormalSpec(s0=[1.0], cov=[[0.04]], T=-1.0)
 
+    @pytest.mark.parametrize(
+        "cov,problem",
+        [([[0.04, 0.1], [0.1, 0.04]], "positive semidefinite"), ([[0.04, 0.0], [0.01, 0.04]], "symmetric")],
+        ids=["indefinite", "asymmetric"],
+    )
+    def test_cov_must_be_a_covariance(self, cov, problem):
+        # the rule LevyTriplet holds sigma to; sqrt_sigma would clip the
+        # first to [[.07, .07], [.07, .07]] and read the second's lower triangle
+        with pytest.raises(ValueError, match=f"cov must be {problem}"):
+            LognormalSpec(s0=[1.0, 1.0], cov=cov)
+
 
 class TestPdeDataset:
     def test_zero_horizon_labels_are_exact_payoffs(self):

@@ -647,6 +647,19 @@ class TestBasketPut:
         with pytest.raises(ValueError):
             run_basket_put(small_basket_spec(model=bs_triplet()))
 
+    def test_a_repeated_method_is_rejected(self):
+        # rows and rmse_closed_form are keyed by method: a second constrained
+        # config would overwrite the first one's closed-form RMSE
+        spec = small_basket_spec(
+            train=(
+                TrainConfig(method="constrained", lam=0.05),
+                TrainConfig(method="ols"),
+                TrainConfig(method="constrained", lam=50.0),
+            ),
+        )
+        with pytest.raises(ValueError, match="'constrained' is trained twice"):
+            run_basket_put(spec)
+
     @pytest.mark.parametrize("assets", [1, 2])
     @pytest.mark.parametrize("n_train", [30, ROW_BLOCK + 905, 2 * ROW_BLOCK + 905])
     def test_rows_match_the_materialized_design(self, assets, n_train):
@@ -918,6 +931,15 @@ class TestSgdVsOls:
     def test_explicit_checkpoints(self):
         rep = run_sgd_vs_ols(small_sgd_spec(checkpoints=(1, 7, 400)))
         assert [r[0] for r in rep.rows] == [1, 7, 400]
+
+    def test_rows_end_at_the_last_step(self):
+        # a list that stops short gains steps, so the final gaps are
+        # those of the last iterate
+        short = run_sgd_vs_ols(small_sgd_spec(checkpoints=(1, 7)))
+        full = run_sgd_vs_ols(small_sgd_spec(checkpoints=(1, 7, 400)))
+        assert rows_without_wall(short) == rows_without_wall(full)
+        assert short.extras["final_gaps"] == full.extras["final_gaps"]
+        assert short.extras["final_gap_mean"] == full.rows[-1][1]
 
     def test_checkpoints_validated(self):
         with pytest.raises(ValueError):

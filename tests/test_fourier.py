@@ -98,10 +98,11 @@ class TestTentTransform:
             assert phi_hat_tent(0.4, 0.8, -xi) == pytest.approx(np.conj(val), rel=1e-14)
 
     def test_series_matches_closed_form_at_same_point(self):
-        # inside the series branch, against the stable closed form
+        # near zero, where 2 (1 - cos xi) / xi^2 would cancel, the sinc form
+        # agrees with the series 1 - xi^2/12 + xi^4/360
         for xi in (9.9e-5, -5e-5, 1e-6):
-            closed = INV_SQRT_2PI * np.sinc(xi / (2 * math.pi)) ** 2
-            assert phi_hat_tent(0.0, 1.0, xi) == pytest.approx(closed, rel=1e-14)
+            series = INV_SQRT_2PI * (1.0 - xi**2 / 12.0 + xi**4 / 360.0)
+            assert phi_hat_tent(0.0, 1.0, xi) == pytest.approx(series, rel=1e-15)
 
     def test_matches_quadrature(self):
         c, w = 0.3, 0.7
@@ -132,15 +133,15 @@ class TestIndicatorTransform:
             assert phi_hat_indicator(-0.5, 1.5, xi) == pytest.approx(want, abs=1e-10)
 
     def test_series_matches_closed_form_at_same_point(self):
+        # near zero the sinc form agrees with the integral of e^{-i x xi}
+        # over [lo, hi] expanded to 4th order
         lo, hi = -0.5, 1.5
         for xi in (9.9e-5, -5e-5, 1e-6):
-            closed = (
-                INV_SQRT_2PI
-                * (hi - lo)
-                * np.exp(-1j * 0.5 * (lo + hi) * xi)
-                * np.sinc((hi - lo) * xi / (2 * math.pi))
+            series = INV_SQRT_2PI * sum(
+                (-1j * xi) ** k * (hi ** (k + 1) - lo ** (k + 1)) / ((k + 1) * math.factorial(k))
+                for k in range(5)
             )
-            assert phi_hat_indicator(lo, hi, xi) == pytest.approx(closed, rel=1e-14)
+            assert phi_hat_indicator(lo, hi, xi) == pytest.approx(series, rel=1e-15)
 
     def test_conjugate_symmetry(self):
         val = phi_hat_indicator(0.0, 1.0, 2.2)
@@ -232,8 +233,14 @@ class TestCharFn:
 class TestProfile:
     def test_decay_violation_caught(self):
         # variance 0.2 decays like exp(-0.1 xi^2), slower than the declared 0.2
-        with pytest.raises(ValueError):
-            gaussian_profile(tent(0.0, 1.0), M=1.0, C=0.2, cov=0.2)
+        with pytest.raises(ValueError, match="decays slower"):
+            FourierProfile(
+                phi_hat=lambda rows: phi_hat_tent(0.0, 1.0, np.atleast_2d(rows)[:, 0]),
+                char_V=lambda rows: char_fn_gaussian([[0.2]], np.atleast_2d(rows)),
+                M=1.0,
+                d=1,
+                C=0.2,
+            )
 
     def test_char_at_zero_checked(self):
         with pytest.raises(ValueError):
