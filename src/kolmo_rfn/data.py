@@ -21,11 +21,12 @@ the thread that drew it, and bit for bit equal to ``price_mc`` (or the
 ``sample_lognormal`` put average) on row i's stream, which the tests
 use as the reference.  Their standard errors are kept as
 ``Dataset.label_se``.  When a row draws at least
-``_SHARED_FILL`` normals, two threads draw rows, each row from its own
-stream: while the caller's thread turns block k into payoffs, one
-helper thread fills block k + 1, and the caller then draws the rows of
-k + 1 the helper has not claimed yet.  Two ``_SHARED_BLOCK`` buffers
-take turns, and the helper is stopped before the call returns.  The
+``_SHARED_FILL`` normals, the caller's thread and one helper thread
+run the same block loop: each takes the next block of rows nobody has
+started, draws every row from its own stream into a buffer of the
+thread's own and adds the block's payoffs.  When either thread stops,
+even on an error, the other starts no new block, and the helper is
+done before the call returns.  The
 caller's thread need not be the main one: a rate curve draws its test
 set on a worker thread while the main thread folds the train design,
 so such a run has three threads at work.  Datasets persist as CSV
@@ -164,81 +165,12 @@ def sample_lognormal(spec: LognormalSpec, rng: np.random.Generator, size: int) -
 # about as long as its fill releases it, so a second thread slows it down
 _SHARED_FILL = 1024
 
-# path-rows of a block drawn on two threads: its label buffers then sit
-# beside a train fold's block buffer without raising the run's peak
-# memory. Rows drawn on one thread keep _CHUNK // 2: basket puts, whose
-# 100-path rows take that path, slow down on smaller blocks
+# path-rows of a block when the caller and the helper both run the block
+# loop: their two buffers, one each, then sit beside a train fold's block
+# buffer without raising the run's peak memory. The caller alone keeps
+# _CHUNK // 2: basket puts, whose 100-path rows take that path, slow
+# down on smaller blocks
 _SHARED_BLOCK = 8192
-
-
-class _Block:
-    """One pipeline block: rows [lo, hi) with their normals in ``z``.
-
-    Threads draw the block's rows by claiming them one at a time, each
-    row from its own stream, so which thread draws a row never changes
-    it.  ``others[r]`` holds the other variates of row ``lo + r``.
-    """
-
-    def __init__(self, lo: int, hi: int, buffer: np.ndarray) -> None:
-        self.rows = slice(lo, hi)
-        self.z = buffer[: hi - lo]
-        self.others = [None] * (hi - lo)
-        self._left = iter(range(hi - lo))
-        self._lock = threading.Lock()
-
-    def fill(self, open_row, draw) -> None:
-        """Draw every row no thread has claimed yet with ``open_row``'s generator."""
-
-        lo = self.rows.start
-        while True:
-            with self._lock:
-                r = next(self._left, None)
-            if r is None:
-                return
-            self.others[r] = draw(open_row(lo + r), self.z[r])
-
-
-def _filled_blocks(seed: int, n: int, paths: int, width: int, draw, pool):
-    """Yield (rows, z, per-row draws) blocks of rows, one row or more.
-
-    A block holds at most ``_CHUNK // 2`` path-rows, or ``_SHARED_BLOCK``
-    with a ``pool``, unless one row alone has more.  Row i draws from
-    ``substream(seed, _LABEL_STREAM, i)``: ``draw(generator, z)`` fills
-    the row's normals z (paths, width) and returns its other variates as
-    a tuple of arrays.  A yielded block is read only until the next one
-    is asked for: its buffer is then filled again.  With a ``pool``, two
-    buffers take turns: the pool's one thread starts filling block k + 1
-    before block k is yielded, and the caller's thread draws the rows the
-    helper has not claimed yet once it asks for block k + 1.
-    """
-
-    keys = row_keys(seed, _LABEL_STREAM, rows=n)
-    own = keyed_generator(keys)
-    per_block = min(n, max(1, (_SHARED_BLOCK if pool else _CHUNK // 2) // paths))
-    starts = range(0, n, per_block)
-    if pool is None:
-        z = np.empty((per_block, paths, width))
-        for lo in starts:
-            hi = min(n, lo + per_block)
-            yield slice(lo, hi), z[: hi - lo], [draw(own(i), z[i - lo]) for i in range(lo, hi)]
-        return
-
-    helper = keyed_generator(keys)
-    buffers = [np.empty((per_block, paths, width)) for _ in range(min(2, len(starts)))]
-
-    def start(k: int):
-        lo = starts[k]
-        block = _Block(lo, min(n, lo + per_block), buffers[k % 2])
-        return block, pool.submit(block.fill, helper, draw)
-
-    upcoming = start(0)
-    for k in range(len(starts)):
-        block, pending = upcoming
-        block.fill(own, draw)
-        pending.result()
-        if k + 1 < len(starts):
-            upcoming = start(k + 1)
-        yield block.rows, block.z, block.others
 
 
 def _mc_labels(
@@ -246,20 +178,28 @@ def _mc_labels(
 ):
     """Monte Carlo means and standard errors of n label rows, by blocks.
 
-    ``draw`` is as in :func:`_filled_blocks`; ``values(rows, z, *others)``
-    maps a block's normals (rows, size, width) and its rows' other draws,
-    concatenated, to the (rows, size) payoffs.  Rows of at most
-    ``_CHUNK // 2`` paths go through :func:`_filled_blocks`, with a
-    helper thread when a row's fill draws at least ``_SHARED_FILL``
-    normals; a longer row is drawn alone, its paths in turn in blocks of
-    at most ``chunk``.  Per row, the sums run in the same order and the
-    standard error uses the same formula as ``price_mc``.  Once the
+    Row i draws from ``substream(seed, _LABEL_STREAM, i)``: ``draw(generator,
+    z)`` fills the row's normals z (paths, width) and returns its other
+    variates as a tuple of arrays. ``values(rows, z, *others)`` maps a
+    block's normals (rows, size, width) and its rows' other draws,
+    concatenated, to the (rows, size) payoffs. A row of more than
+    ``_CHUNK // 2`` paths is drawn alone, its paths in turn in blocks of
+    at most ``chunk``. Shorter rows go through one block loop: it takes
+    the next block of whole rows nobody has started, draws it into a
+    buffer of its own and adds its payoffs. The caller runs it alone on
+    ``_CHUNK // 2`` path-row blocks; when a row's fill draws at least
+    ``_SHARED_FILL`` normals, a helper thread runs it too, on
+    ``_SHARED_BLOCK`` path-row blocks, and the two write disjoint rows.
+    A thread that stops, even on an error, leaves no block for the
+    other to start. Per row, the sums run in the same order and the
+    standard error uses the same formula as ``price_mc``. Once the
     ``threading.Event`` ``stop`` is set, the next block raises
     RuntimeError instead of adding its payoffs.
     """
 
     total = np.zeros(n)
     total_sq = np.zeros(n)
+    keys = row_keys(seed, _LABEL_STREAM, rows=n)
 
     def add(rows, z, others) -> None:
         if stop is not None and stop.is_set():
@@ -269,23 +209,46 @@ def _mc_labels(
         total_sq[rows] += (vals * vals).sum(axis=-1)
 
     if paths > _CHUNK // 2:
-        open_row = keyed_generator(row_keys(seed, _LABEL_STREAM, rows=n))
+        open_row = keyed_generator(keys)
         for i in range(n):
             gen = open_row(i)
             for done in range(0, paths, chunk):
                 z = np.empty((1, min(chunk, paths - done), width))
                 add(slice(i, i + 1), z, [draw(gen, z[0])])
-    elif paths * width < _SHARED_FILL:
-        for block in _filled_blocks(seed, n, paths, width, draw, None):
-            add(*block)
     else:
-        # imported here: concurrent.futures brings in logging, about 10 ms
-        # of every cold start, and only jobs with long label rows use it
-        from concurrent.futures import ThreadPoolExecutor
+        shared = paths * width >= _SHARED_FILL
+        per_block = min(n, max(1, (_SHARED_BLOCK if shared else _CHUNK // 2) // paths))
+        starts = iter(range(0, n, per_block))
+        lock = threading.Lock()
 
-        with ThreadPoolExecutor(1) as pool:
-            for block in _filled_blocks(seed, n, paths, width, draw, pool):
-                add(*block)
+        def work() -> None:
+            try:
+                open_row = keyed_generator(keys)
+                buffer = np.empty((per_block, paths, width))
+                while True:
+                    with lock:
+                        lo = next(starts, None)
+                    if lo is None:
+                        return
+                    hi = min(n, lo + per_block)
+                    z = buffer[: hi - lo]
+                    add(slice(lo, hi), z, [draw(open_row(i), z[i - lo]) for i in range(lo, hi)])
+            finally:
+                with lock:
+                    for _ in starts:  # the other thread starts no new block
+                        pass
+
+        if not shared:
+            work()
+        else:
+            # imported here: concurrent.futures brings in logging, about 10 ms
+            # of every cold start, and only jobs with long label rows use it
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(1) as pool:
+                helper = pool.submit(work)
+                work()
+                helper.result()
     mean = total / paths
     if paths == 1:
         return mean, np.full(n, math.inf)

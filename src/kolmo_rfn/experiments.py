@@ -432,9 +432,11 @@ def run_sgd_vs_ols(spec: ExperimentSpec) -> ExperimentReport:
     design. The OLS optimum is solved from that R, and each checkpoint's
     risk is read from it by ``risk_from_r``, so the gap compares two
     risks of one formula. SGD runs on the design, restarting once per sgd
-    seed, and the rows hold the gap at each checkpoint averaged over
-    those seeds. The checkpoints always end at T = steps, so the final
-    gaps are those of the last iterate.
+    seed. Each row holds the gap of the iterate W_T at its checkpoint T,
+    averaged over those seeds; the checkpoints always end at T = steps.
+    ``final_gaps`` and ``final_gap_mean`` score the vector ``fit_sgd``
+    returns: the last iterate W_steps, or with ``average`` the average of
+    W_1..W_steps.
     """
 
     if spec.kind != "sgd_vs_ols":
@@ -473,9 +475,9 @@ def run_sgd_vs_ols(spec: ExperimentSpec) -> ExperimentReport:
             if t in _marks:
                 _trace[t] = risk_from_r(r, w, train_ds.n)
 
-        fit_sgd(X, train_ds.Y, cfg, observer=observer)
+        W, _ = fit_sgd(X, train_ds.Y, cfg, observer=observer)
         risk_traces.append(trace)
-        final_gaps.append(trace[steps] - ols_risk)
+        final_gaps.append(risk_from_r(r, W, train_ds.n) - ols_risk)
 
     wall = (time.perf_counter() - t0) * 1e3
     rows = []

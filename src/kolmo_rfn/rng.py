@@ -41,13 +41,17 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-def substream(seed: int, *ids: int) -> np.random.Generator:
-    """Return the generator for stream ``ids`` under master ``seed``."""
-    ss = np.random.SeedSequence(
+def _seed_sequence(seed: int, ids) -> np.random.SeedSequence:
+    """The ``SeedSequence`` of stream ``ids`` under master ``seed``."""
+    return np.random.SeedSequence(
         entropy=int(seed) & _MASK64,
         spawn_key=tuple(int(i) & _MASK64 for i in ids),
     )
-    return np.random.Generator(np.random.Philox(ss))
+
+
+def substream(seed: int, *ids: int) -> np.random.Generator:
+    """Return the generator for stream ``ids`` under master ``seed``."""
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, ids)))
 
 
 def _words(value: int) -> list[int]:
@@ -137,8 +141,4 @@ def derive_seed(seed: int, *ids: int) -> int:
     but must stay isolated from its siblings under one master seed.
     """
 
-    ss = np.random.SeedSequence(
-        entropy=int(seed) & _MASK64,
-        spawn_key=tuple(int(i) & _MASK64 for i in ids),
-    )
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(seed, ids).generate_state(1, np.uint64)[0])

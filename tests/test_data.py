@@ -1,7 +1,9 @@
+import concurrent.futures
 import math
 import sys
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -34,7 +36,7 @@ from kolmo_rfn.levy import (
     risk_neutral_gamma,
     simulate_levy_increment,
 )
-from kolmo_rfn.rng import keyed_generator, row_keys, substream
+from kolmo_rfn.rng import substream
 
 
 def gbm(vol=0.2, d=1):
@@ -258,40 +260,55 @@ def _on_main_thread() -> bool:
     return threading.current_thread() is threading.main_thread()
 
 
-def _force_rows(monkeypatch, helper_takes_all: bool) -> dict:
-    """Make the label helper thread draw every row of a block, or none.
+def _record_rows(monkeypatch, hold=None) -> list:
+    """Record each label row a thread opens as (row, opened on the main thread).
 
-    Returns a dict that maps each drawn row to whether the main thread
-    drew it.
+    ``hold(on_main)``, when given, runs in each label thread before its
+    block loop starts.
     """
 
-    fill, init = data_module._Block.fill, data_module._Block.__init__
-    drawn = {}
+    opened = []
+    keyed = data_module.keyed_generator
 
-    def patched_init(self, *args):
-        init(self, *args)
-        self.helper_done = threading.Event()
+    def recorded(keys):
+        open_row = keyed(keys)
+        on_main = _on_main_thread()
+        if hold is not None:
+            hold(on_main)
 
-    def patched_fill(self, open_row, draw):
-        def recorded(i):
-            assert i not in drawn
-            drawn[i] = _on_main_thread()
+        def record(i):
+            opened.append((i, on_main))
             return open_row(i)
 
-        if not _on_main_thread():
-            if helper_takes_all:
-                try:
-                    fill(self, recorded, draw)
-                finally:
-                    self.helper_done.set()
-            return
-        if helper_takes_all:
-            assert self.helper_done.wait(timeout=60)
-        fill(self, recorded, draw)
+        return record
 
-    monkeypatch.setattr(data_module._Block, "__init__", patched_init)
-    monkeypatch.setattr(data_module._Block, "fill", patched_fill)
-    return drawn
+    monkeypatch.setattr(data_module, "keyed_generator", recorded)
+    return opened
+
+
+def _signal_helper_done(monkeypatch) -> threading.Event:
+    """An event the label helper sets once its block loop has returned or raised."""
+
+    done = threading.Event()
+
+    class Pool(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            def run():
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    done.set()
+
+            return super().submit(run)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    return done
+
+
+def _blocks(rows, paths) -> set:
+    """The two-thread label blocks that hold ``rows``."""
+
+    return {i // (data_module._SHARED_BLOCK // paths) for i in rows}
 
 
 class TestSharedLabelKernel:
@@ -303,11 +320,27 @@ class TestSharedLabelKernel:
     ])
     @pytest.mark.parametrize("helper_takes_all", [True, False])
     def test_any_split_of_rows_equals_the_per_row_reference(self, monkeypatch, trip, po, helper_takes_all):
-        drawn = _force_rows(monkeypatch, helper_takes_all)
+        # the thread that is to draw nothing starts its loop only once the
+        # other has opened every row, and so finds no block left
+        all_opened = threading.Event()
+
+        def hold(on_main):
+            if on_main == helper_takes_all:
+                assert all_opened.wait(timeout=60)
+
+        opened = _record_rows(monkeypatch, hold)
+        draw = IncrementSampler.draw
+
+        def counted(self, rng, z):
+            if len(opened) == 250:
+                all_opened.set()
+            return draw(self, rng, z)
+
+        monkeypatch.setattr(IncrementSampler, "draw", counted)
         before = set(threading.enumerate())
         ds = gen_pde_dataset(trip, po, M=1.0, T=1.0, n=250, label_kind="mc_price", seed=24, paths=600)
         assert set(threading.enumerate()) == before
-        assert drawn == {i: not helper_takes_all for i in range(250)}
+        assert sorted(opened) == [(i, not helper_takes_all) for i in range(250)]
         mean, se = per_row_prices(trip, po, ds)
         assert np.array_equal(ds.Y, mean)
         assert np.array_equal(ds.label_se, se)
@@ -330,34 +363,31 @@ class TestSharedLabelKernel:
         assert np.array_equal(ds.Y, mean)
         assert np.array_equal(ds.label_se, se)
 
-    def test_threads_claim_each_row_once(self):
-        # more threads than cores on one block, switching as often as the
-        # interpreter allows: a row claimed twice or never would break the
-        # per-row draws
-        n, paths = 400, 3
-        keys = row_keys(5, 51, rows=n)
-        block = data_module._Block(0, n, np.empty((n, paths, 2)))
-        claims = []
+    def test_threads_draw_each_block_once(self, monkeypatch):
+        # blocks of three rows, the interpreter switching threads as often
+        # as it allows: a block started twice, never, or by both threads
+        # would break the per-row draws
+        n, paths = 400, 512
+        monkeypatch.setattr(data_module, "_SHARED_BLOCK", 3 * paths)
+        opened = _record_rows(monkeypatch)
 
         def draw(gen, z):
             gen.standard_normal(out=z)
-            claims.append(1)
             return ()
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            workers = [threading.Thread(target=block.fill, args=(keyed_generator(keys), draw)) for _ in range(6)]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=60)
-                assert not w.is_alive()
+            mean, _ = data_module._mc_labels(5, n, paths, 2, draw, lambda rows, z: z.sum(axis=-1))
         finally:
             sys.setswitchinterval(interval)
-        assert len(claims) == n and block.others == [()] * n
-        for i in range(n):
-            assert np.array_equal(block.z[i], substream(5, 51, i).standard_normal((paths, 2)))
+        assert sorted(i for i, _ in opened) == list(range(n))
+        threads = {}
+        for i, on_main in opened:
+            threads.setdefault(i // 3, set()).add(on_main)
+        assert all(len(t) == 1 for t in threads.values())
+        ref = [substream(5, 51, i).standard_normal((1, paths, 2)).sum(axis=-1).sum(axis=-1)[0] for i in range(n)]
+        assert np.array_equal(mean, np.array(ref) / paths)
 
     def test_short_rows_stay_on_the_calling_thread(self, monkeypatch):
         # 100 paths x 5 normals per row: below _SHARED_FILL, so no helper
@@ -375,12 +405,21 @@ class TestSharedLabelKernel:
         assert threads == {threading.main_thread()}
 
     def test_an_error_in_a_helper_row_propagates(self, monkeypatch):
-        _force_rows(monkeypatch, helper_takes_all=True)
+        # the helper fails on its first row once the caller is inside a
+        # block; once the helper's loop is over, the caller may finish
+        # that block but starts no other
+        helper_done = _signal_helper_done(monkeypatch)
+        opened = _record_rows(monkeypatch)
+        caller_started, after = threading.Event(), []
         draw = IncrementSampler.draw
 
         def failing(self, rng, z):
             if not _on_main_thread():
+                assert caller_started.wait(timeout=60)
                 raise RuntimeError("helper row failed")
+            caller_started.set()
+            if helper_done.is_set():
+                after.append(max(i for i, on_main in opened if on_main))
             return draw(self, rng, z)
 
         monkeypatch.setattr(IncrementSampler, "draw", failing)
@@ -388,17 +427,35 @@ class TestSharedLabelKernel:
         with pytest.raises(RuntimeError, match="helper row failed"):
             gen_pde_dataset(gbm(d=2), max_call(1.0, d=2), M=1.0, T=1.0, n=250, label_kind="mc_price", paths=600)
         assert set(threading.enumerate()) == before
+        assert len(_blocks(after, 600)) <= 1
 
     def test_an_error_in_the_caller_stops_the_helper(self, monkeypatch):
-        # block 0's payoffs fail while the helper is drawing block 1
-        def failing(payoff, s):
-            raise RuntimeError("payoff failed")
+        # the caller's first payoffs fail while the helper is inside a
+        # block: the helper may finish it and start at most one more
+        opened = _record_rows(monkeypatch)
+        helper_started, failed_at = threading.Event(), []
+        draw, payoffs = IncrementSampler.draw, data_module.payoff_eval
 
+        def started(self, rng, z):
+            if not _on_main_thread():
+                helper_started.set()
+            return draw(self, rng, z)
+
+        def failing(payoff, s):
+            if _on_main_thread():
+                assert helper_started.wait(timeout=60)
+                failed_at.append(len(opened))
+                raise RuntimeError("payoff failed")
+            return payoffs(payoff, s)
+
+        monkeypatch.setattr(IncrementSampler, "draw", started)
         monkeypatch.setattr(data_module, "payoff_eval", failing)
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="payoff failed"):
             gen_pde_dataset(gbm(d=2), max_call(1.0, d=2), M=1.0, T=1.0, n=250, label_kind="mc_price", paths=600)
         assert set(threading.enumerate()) == before
+        helper_rows_after = [i for i, on_main in opened[failed_at[0]:] if not on_main]
+        assert len(_blocks(helper_rows_after, 600)) <= 2
 
 
 class TestBasketDataset:

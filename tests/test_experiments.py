@@ -941,6 +941,31 @@ class TestSgdVsOls:
         assert short.extras["final_gaps"] == full.extras["final_gaps"]
         assert short.extras["final_gap_mean"] == full.rows[-1][1]
 
+    def test_averaged_final_gaps_score_the_returned_vector(self, monkeypatch):
+        # with averaging, fit_sgd returns the mean of W_1..W_steps, while
+        # the rows keep scoring the iterates
+        returned = []
+
+        def recorded(*args, **kwargs):
+            out = train_module.fit_sgd(*args, **kwargs)
+            returned.append(out[0])
+            return out
+
+        monkeypatch.setattr(experiments_module, "fit_sgd", recorded)
+        cfg = TrainConfig(method="sgd", lam=100.0, eta0=0.01, steps=400, average=True)
+        spec = small_sgd_spec(train=(cfg,))
+        rep = run_sgd_vs_ols(spec)
+        train_ds = _pde_data(spec, _TRAIN_DATA, spec.n_train, spec.label_kind, spec.paths)
+        hidden = sample_hidden_weights(
+            spec.weight_spec, spec.N_list[0], train_ds.d, derive_seed(spec.master_seed, _HIDDEN)
+        )
+        r = train_module.fold_features(hidden, train_ds)
+        ols_risk = rep.extras["ols_risk"]
+        gaps = [train_module.risk_from_r(r, W, train_ds.n) - ols_risk for W in returned]
+        assert rep.extras["final_gaps"] == gaps
+        assert rep.extras["final_gap_mean"] == float(np.mean(gaps))
+        assert rep.extras["final_gap_mean"] != rep.rows[-1][1]
+
     def test_checkpoints_validated(self):
         with pytest.raises(ValueError):
             run_sgd_vs_ols(small_sgd_spec(checkpoints=(0, 400)))
