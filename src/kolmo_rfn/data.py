@@ -14,12 +14,13 @@ Inputs, label draws, and observation noise come from separate
 substreams of the dataset seed, and Monte Carlo label rows get one
 substream each, keyed by (seed, row), so generation is reproducible and
 order-independent.  Monte Carlo labels are computed in blocks of rows
-(at most ``_CHUNK // 2`` paths in all, ``_SHARED_BLOCK`` when two
-threads draw them) that draw from those same per-row streams, so label
-i depends only on (seed, i): not on n, not on the block size, not on
-the thread that drew it, and bit for bit equal to ``price_mc`` (or the
-``sample_lognormal`` put average) on row i's stream, which the tests
-use as the reference.  Their standard errors are kept as
+(``_ALONE_BLOCK`` paths in all when the caller draws them alone,
+``_SHARED_BLOCK`` when two threads do; a row of more than
+``_CHUNK // 2`` paths alone) that draw from those same per-row streams,
+so label i depends only on (seed, i): not on n, not on the block size,
+not on the thread that drew it, and bit for bit equal to ``price_mc``
+(or the ``sample_lognormal`` put average) on row i's stream, which the
+tests use as the reference.  Their standard errors are kept as
 ``Dataset.label_se``.  When a row draws at least
 ``_SHARED_FILL`` normals, the caller's thread and one helper thread
 run the same block loop: each takes the next block of rows nobody has
@@ -29,7 +30,10 @@ even on an error, the other starts no new block, and the helper is
 done before the call returns.  The
 caller's thread need not be the main one: a rate curve draws its test
 set on a worker thread while the main thread folds the train design,
-so such a run has three threads at work.  Datasets persist as CSV
+so such a run has three threads at work.  Rows the caller draws alone
+are final block by block, in order, and a basket dataset hands them,
+noise included, to its ``finished`` hook as they are: a basket run folds
+its train rows on another thread meanwhile.  Datasets persist as CSV
 (header ``x_1,...,x_d,y``) with a JSON sidecar holding the generation
 metadata.
 """
@@ -167,14 +171,19 @@ _SHARED_FILL = 1024
 
 # path-rows of a block when the caller and the helper both run the block
 # loop: their two buffers, one each, then sit beside a train fold's block
-# buffer without raising the run's peak memory. The caller alone keeps
-# _CHUNK // 2: basket puts, whose 100-path rows take that path, slow
-# down on smaller blocks
+# buffer without raising the run's peak memory
 _SHARED_BLOCK = 8192
+
+# path-rows of a block when the caller runs the block loop alone (rows of
+# basket puts): finished rows reach a fold on another thread a few hundred
+# at a time, and a 100-path basket row is drawn faster than in blocks of
+# _CHUNK // 2
+_ALONE_BLOCK = 16384
 
 
 def _mc_labels(
     seed: int, n: int, paths: int, width: int, draw, values, chunk: int = _CHUNK, stop=None,
+    finished=None,
 ):
     """Monte Carlo means and standard errors of n label rows, by blocks.
 
@@ -187,7 +196,7 @@ def _mc_labels(
     at most ``chunk``. Shorter rows go through one block loop: it takes
     the next block of whole rows nobody has started, draws it into a
     buffer of its own and adds its payoffs. The caller runs it alone on
-    ``_CHUNK // 2`` path-row blocks; when a row's fill draws at least
+    ``_ALONE_BLOCK`` path-row blocks; when a row's fill draws at least
     ``_SHARED_FILL`` normals, a helper thread runs it too, on
     ``_SHARED_BLOCK`` path-row blocks, and the two write disjoint rows.
     A thread that stops, even on an error, leaves no block for the
@@ -195,11 +204,24 @@ def _mc_labels(
     standard error uses the same formula as ``price_mc``. Once the
     ``threading.Event`` ``stop`` is set, the next block raises
     RuntimeError instead of adding its payoffs.
+
+    ``finished(rows, mean)``, when given, receives every row's mean once,
+    in row order, on the caller's thread: ``rows`` is a slice and
+    ``mean`` those rows' means, with the bits of the returned ones. Rows
+    the caller draws alone come block by block, as each block's payoffs
+    are added; other rows come in one call once all are drawn.
     """
 
     total = np.zeros(n)
     total_sq = np.zeros(n)
     keys = row_keys(seed, _LABEL_STREAM, rows=n)
+    handed = 0  # rows whose means went to finished
+
+    def hand_over(hi: int) -> None:
+        nonlocal handed
+        if finished is not None and hi > handed:
+            finished(slice(handed, hi), total[handed:hi] / paths)
+            handed = hi
 
     def add(rows, z, others) -> None:
         if stop is not None and stop.is_set():
@@ -217,7 +239,7 @@ def _mc_labels(
                 add(slice(i, i + 1), z, [draw(gen, z[0])])
     else:
         shared = paths * width >= _SHARED_FILL
-        per_block = min(n, max(1, (_SHARED_BLOCK if shared else _CHUNK // 2) // paths))
+        per_block = min(n, max(1, (_SHARED_BLOCK if shared else _ALONE_BLOCK) // paths))
         starts = iter(range(0, n, per_block))
         lock = threading.Lock()
 
@@ -233,6 +255,8 @@ def _mc_labels(
                     hi = min(n, lo + per_block)
                     z = buffer[: hi - lo]
                     add(slice(lo, hi), z, [draw(open_row(i), z[i - lo]) for i in range(lo, hi)])
+                    if not shared:  # the caller alone draws the blocks in order
+                        hand_over(hi)
             finally:
                 with lock:
                     for _ in starts:  # the other thread starts no new block
@@ -249,6 +273,7 @@ def _mc_labels(
                 helper = pool.submit(work)
                 work()
                 helper.result()
+    hand_over(n)
     mean = total / paths
     if paths == 1:
         return mean, np.full(n, math.inf)
@@ -339,12 +364,21 @@ def gen_basket_put_dataset(
     noise_std: float = 0.0,
     seed: int = 0,
     paths: int = 100,
+    stop: threading.Event | None = None,
+    finished=None,
 ) -> Dataset:
     """Strikes uniform on [0, M]; labels are MC put prices plus noise.
 
     ``weights`` None means equal weights. Row i's Monte Carlo paths come
     from the substream (seed, row) so rows are independent and the
-    dataset is reproducible regardless of generation order.
+    dataset is reproducible regardless of generation order. The labels
+    stop at their next block, raising RuntimeError, once ``stop`` is set.
+    ``finished(X, Y, hi)``, when given, is called on this thread each
+    time the rows below ``hi`` of the dataset's X and Y hold their final
+    values, with ``hi`` rising to n; it may read those rows, on any
+    thread, and no others. Rows drawn block by block reach it block by
+    block (``data._mc_labels``), and each block's noise is drawn from the
+    noise stream in row order, so Y has the bits of one draw of all rows.
     """
 
     if n < 1:
@@ -372,13 +406,25 @@ def gen_basket_put_dataset(
             s_t = _lognormal_prices(sampler, root, z)
         return np.maximum(K[rows, None] - s_t @ w, 0.0)
 
+    X = K[:, None]
+    Y = np.empty(n)
+    noise = substream(seed, _NOISE_STREAM) if noise_std > 0 else None
+
+    def labelled(rows, mean):
+        Y[rows] = mean
+        if noise is not None:
+            Y[rows] += noise.normal(0.0, noise_std, size=mean.size)
+        if finished is not None:
+            finished(X, Y, rows.stop)
+
     # a row's put average is one sum over all its paths, as when the row
     # is drawn by sample_lognormal, so rows are never split into chunks
-    Y, se = _mc_labels(seed, n, paths, sampler.m, draw, values, chunk=max(_CHUNK, paths))
-    if noise_std > 0:
-        Y = Y + substream(seed, _NOISE_STREAM).normal(0.0, noise_std, size=n)
+    _, se = _mc_labels(
+        seed, n, paths, sampler.m, draw, values, chunk=max(_CHUNK, paths), stop=stop,
+        finished=labelled,
+    )
     return Dataset(
-        X=K[:, None],
+        X=X,
         Y=Y,
         label_kind="noisy_observation",
         seed=seed,

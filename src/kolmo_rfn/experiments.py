@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import queue
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import train
 from ._blas import single_blas_thread
 from .config import ExperimentSpec
 from .data import Dataset, LognormalSpec, basket_weights, gen_basket_put_dataset, gen_pde_dataset
@@ -32,7 +34,7 @@ from .fourier import (
     sup_error_on_grid,
 )
 from .levy import LevyTriplet, bs_put_price
-from .network import RandomFeatureNet, design_matrix, predict, sample_hidden_weights, subnetwork
+from .network import RandomFeatureNet, design_matrix, predict, row_blocks, sample_hidden_weights, subnetwork
 from .rng import derive_seed
 from .train import (
     _NUMERIC_FAILURES, TrainConfig, empirical_risk, fit, fit_sgd, fit_widths, fold_features, risk_from_r,
@@ -299,10 +301,13 @@ def run_basket_put(spec: ExperimentSpec) -> ExperimentReport:
     Widths are fitted and scored as in a rate curve: through
     ``fit_widths``, and by ``empirical_risk`` of each width's net on the
     test set. The train rows are folded once, and every least-squares
-    config solves from that R; SGD gets the design. For a single
-    lognormal asset the widest net's ``predict`` is also scored against
-    the closed-form put prices on a strike grid. Rows and that score are
-    keyed by method, so each method may be trained once.
+    config solves from that R; SGD gets the design. When a config needs
+    R, a run uses two threads: the labels are drawn on this one while a
+    helper folds each finished block of train rows (``_fold_while_drawn``),
+    and R has the bits of ``fold_features`` on the finished train set.
+    For a single lognormal asset the widest net's ``predict`` is also
+    scored against the closed-form put prices on a strike grid. Rows and
+    that score are keyed by method, so each method may be trained once.
     """
 
     if spec.kind != "basket_put":
@@ -315,16 +320,21 @@ def run_basket_put(spec: ExperimentSpec) -> ExperimentReport:
             raise ValueError(f"basket_put rows are keyed by method; {method!r} is trained twice")
     sampler = spec.model
     weights = basket_weights(sampler, spec.basket_weights)
-    train_ds, test_ds = (
-        gen_basket_put_dataset(
-            sampler, weights, spec.M, n, noise_std=spec.noise_std,
-            seed=derive_seed(spec.master_seed, stream), paths=spec.paths,
-        )
-        for n, stream in ((spec.n_train, _TRAIN_DATA), (spec.n_test, _TEST_DATA))
-    )
     hidden = sample_hidden_weights(
         spec.weight_spec, spec.N_list[-1], 1, derive_seed(spec.master_seed, _HIDDEN)
     )
+
+    def draw(n, stream, **hooks) -> Dataset:
+        return gen_basket_put_dataset(
+            sampler, weights, spec.M, n, noise_std=spec.noise_std,
+            seed=derive_seed(spec.master_seed, stream), paths=spec.paths, **hooks,
+        )
+
+    r = None
+    if all(cfg.method == "sgd" for cfg in spec.train):
+        train_ds, test_ds = draw(spec.n_train, _TRAIN_DATA), draw(spec.n_test, _TEST_DATA)
+    else:
+        train_ds, test_ds, r = _fold_while_drawn(hidden, spec.n_train, spec.n_test, draw)
 
     single_asset = sampler.m == 1 and np.isclose(weights[0], 1.0)
     strike_grid = np.linspace(0.0, spec.M, spec.grid_points)
@@ -335,10 +345,7 @@ def run_basket_put(spec: ExperimentSpec) -> ExperimentReport:
 
     rows = []
     rmse_by_method: dict[str, float] = {}
-    r = None
     for cfg in spec.train:
-        if cfg.method != "sgd" and r is None:
-            r = fold_features(hidden, train_ds)
         # this module's fit, so wrapping experiments.fit wraps every width's solve
         solved = fit_widths(hidden, spec.N_list, train_ds, cfg, solve=fit, r=r)
         for N in spec.N_list:
@@ -360,6 +367,55 @@ def run_basket_put(spec: ExperimentSpec) -> ExperimentReport:
     return _finish(
         spec, ("method", "N", "e_hat", "train_risk", "wall_ms"), rows, slope, e_hats[0], extras
     )
+
+
+def _fold_while_drawn(hidden, n: int, n_test: int, draw) -> tuple[Dataset, Dataset, np.ndarray]:
+    """``draw(n, stream, **hooks)``'s train and test sets, and the R of the train design.
+
+    The labels hold the GIL, so they are drawn on this thread; one helper
+    thread folds each block of ``row_blocks(n)`` into R as soon as its
+    labels are final, with the buffers and block kernel of
+    ``fold_features``, so R has its bits on the finished train set. The
+    helper wakes once per fold block, and folds through the one buffer
+    allocated here before it starts. The last block is folded while the test labels are
+    drawn. If the helper raises, the labels stop at their next block; it
+    is joined, and its error raised, before this returns, and a label
+    error ends its wait.
+    """
+
+    r, buffer = train._fold_buffers(hidden, n)
+    arrived: queue.SimpleQueue = queue.SimpleQueue()
+    waiting = iter(row_blocks(n))
+    block = next(waiting)
+
+    def finished(X, Y, hi) -> None:
+        nonlocal block
+        while block is not None and block.stop <= hi:
+            arrived.put((X[block], Y[block]))
+            block = next(waiting, None)
+
+    stop = threading.Event()
+    errors: list[BaseException] = []
+
+    def fold() -> None:
+        try:
+            for X, y in iter(arrived.get, None):
+                train._fold_block(r, hidden, X, y, buffer)
+        except BaseException as exc:
+            errors.append(exc)
+            stop.set()
+
+    helper = threading.Thread(target=fold, name="basket-fold")
+    helper.start()
+    try:
+        train_ds = draw(n, _TRAIN_DATA, stop=stop, finished=finished)
+        test_ds = draw(n_test, _TEST_DATA, stop=stop)
+    finally:
+        arrived.put(None)  # ends the helper's loop, after every block that arrived
+        helper.join()
+        if errors:
+            raise errors[0]
+    return train_ds, test_ds, r
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +489,9 @@ def run_sgd_vs_ols(spec: ExperimentSpec) -> ExperimentReport:
     risk is read from it by ``risk_from_r``, so the gap compares two
     risks of one formula. SGD runs on the design, restarting once per sgd
     seed. Each row holds the gap of the iterate W_T at its checkpoint T,
-    averaged over those seeds; the checkpoints always end at T = steps.
+    averaged over those seeds, and ``wall_ms``, the time from the start of
+    ``fit_sgd`` to W_T, averaged the same way, so it never falls as T
+    grows; the checkpoints always end at T = steps.
     ``final_gaps`` and ``final_gap_mean`` score the vector ``fit_sgd``
     returns: the last iterate W_steps, or with ``average`` the average of
     W_1..W_steps.
@@ -463,27 +521,31 @@ def run_sgd_vs_ols(spec: ExperimentSpec) -> ExperimentReport:
     if marks[0] < 1 or marks[-1] > steps:
         raise ValueError("checkpoints must lie in [1, steps]")
 
-    t0 = time.perf_counter()
     risk_traces = []
+    time_traces = []
     final_gaps = []
     for s in range(spec.sgd_seeds):
         cfg = replace(base_cfg, seed=derive_seed(spec.master_seed, _SGD, s))
-        trace: dict[int, float] = {}
+        risks: dict[int, float] = {}
+        times: dict[int, float] = {}
         mark_set = set(marks)
 
-        def observer(t, w, _trace=trace, _marks=mark_set):
+        def observer(t, w, _risks=risks, _times=times, _marks=mark_set):
             if t in _marks:
-                _trace[t] = risk_from_r(r, w, train_ds.n)
+                _times[t] = time.perf_counter()
+                _risks[t] = risk_from_r(r, w, train_ds.n)
 
+        t0 = time.perf_counter()
         W, _ = fit_sgd(X, train_ds.Y, cfg, observer=observer)
-        risk_traces.append(trace)
+        risk_traces.append(risks)
+        time_traces.append({t: (at - t0) * 1e3 for t, at in times.items()})
         final_gaps.append(risk_from_r(r, W, train_ds.n) - ols_risk)
 
-    wall = (time.perf_counter() - t0) * 1e3
     rows = []
     for m in marks:
         mean_risk = float(np.mean([tr[m] for tr in risk_traces]))
-        rows.append((m, mean_risk - ols_risk, mean_risk, wall))
+        mean_ms = float(np.mean([tr[m] for tr in time_traces]))
+        rows.append((m, mean_risk - ols_risk, mean_risk, mean_ms))
     extras = {
         "ols_risk": ols_risk,
         "final_gap_mean": float(np.mean(final_gaps)),

@@ -266,6 +266,7 @@ def _fold(r: np.ndarray, rows: np.ndarray) -> None:
         raise np.linalg.LinAlgError(f"LAPACK dtpqrt failed with info = {info}")
 
 
+@_blas.single_blas_thread()
 def fold_features(hidden: HiddenWeights, data: Dataset) -> np.ndarray:
     """R of ``[design_matrix(hidden, data.X) | data.Y]``, folded without the design.
 
@@ -277,21 +278,38 @@ def fold_features(hidden: HiddenWeights, data: Dataset) -> np.ndarray:
     (``network.ROW_PIECE``), R has the bits of folding each materialized
     design block on the same kernel; elsewhere the gemm rounds some
     features of a piece differently, and R agrees to rounding. Other cuts
-    give the same R to rounding.
+    give the same R to rounding. It runs on one OpenBLAS thread
+    (``_blas.single_blas_thread``), as every run folds. A basket run
+    folds its train blocks with the same ``_fold_buffers`` and
+    ``_fold_block`` while their labels are drawn
+    (``experiments._fold_while_drawn``).
     """
 
     if data.n == 0:
         raise ValueError("cannot fit on empty data")
-    r = np.zeros((hidden.N + 1, hidden.N + 1), order="F")
+    r, buffer = _fold_buffers(hidden, data.n)
     for block in row_blocks(data.n):
-        _fold_block(r, hidden, data.X[block], data.Y[block])
+        _fold_block(r, hidden, data.X[block], data.Y[block], buffer)
     return r
 
 
-def _fold_block(r: np.ndarray, hidden: HiddenWeights, X: np.ndarray, y: np.ndarray) -> None:
-    """Fold ``[design_matrix(hidden, X) | y]`` into ``r``, the features built in the buffer."""
+def _fold_buffers(hidden: HiddenWeights, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A zero R, and one flat buffer for the largest block of ``row_blocks(n)`` with its labels."""
 
-    rows = np.empty((y.size, hidden.N + 1), order="F")
+    r = np.zeros((hidden.N + 1, hidden.N + 1), order="F")
+    return r, np.empty(max(block.stop - block.start for block in row_blocks(n)) * (hidden.N + 1))
+
+
+def _fold_block(
+    r: np.ndarray, hidden: HiddenWeights, X: np.ndarray, y: np.ndarray, buffer: np.ndarray,
+) -> None:
+    """Fold ``[design_matrix(hidden, X) | y]`` into ``r``, the features built in ``buffer``.
+
+    The block's rows fill a column-major view of the front of the flat
+    ``buffer``, which ``dtpqrt`` then overwrites.
+    """
+
+    rows = buffer[: y.size * (hidden.N + 1)].reshape((y.size, hidden.N + 1), order="F")
     rows[:, -1] = y
     for piece in row_blocks(y.size, ROW_PIECE):
         filled = rows[piece]
@@ -309,11 +327,13 @@ def _check_width(N: int, N_max: int) -> None:
 def prefix_problem(r: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     """The least-squares problem of the first ``N`` design columns, from R.
 
-    With ``R`` the square (N_max + 1) x (N_max + 1) factor of ``[X | Y]``
-    (rows past the n folded ones are zero to rounding), the leading ``N``
-    rows of its first ``N`` columns and of its last column Q'Y make an
-    N x N problem whose squared residual differs from the design's by a
-    constant. Any trainer that sees only the residual (``fit_ols``,
+    With ``R`` the square (N_max + 1) x (N_max + 1) factor of ``[X | Y]``,
+    the leading ``N`` rows of its first ``N`` columns and of its last
+    column Q'Y make an N x N problem whose squared residual differs from
+    the design's by a constant: the squared rest of Q'Y, rows ``N`` and
+    on, which ``risk_from_r`` sums whole. R's rows past the n folded ones
+    need not be zero: with dead leading features they reached 3.2 at
+    n = 340, N = 511. Any trainer that sees only the residual (``fit_ols``,
     ``fit_constrained``) finds the same W on it, and it has the singular
     values of those N columns, hence the same effective rank; its risk
     is not the design's (see ``risk_from_r``). ``N`` must lie in

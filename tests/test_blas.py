@@ -133,7 +133,7 @@ def test_run_completes_without_an_openblas(monkeypatch):
 
 
 @pytest.mark.parametrize("call", [
-    "run_rate_curve", "gen_pde_dataset", "fit_widths", "predict",
+    "run_rate_curve", "gen_pde_dataset", "fit_widths", "fold_features", "predict",
     "fit_ols", "fit_constrained", "fit_sgd", "empirical_risk",
 ])
 def test_library_entry_points_run_on_one_thread(numpy_threads, monkeypatch, call):
@@ -154,6 +154,12 @@ def test_library_entry_points_run_on_one_thread(numpy_threads, monkeypatch, call
             (train, "fold_features"),
             lambda: train.fit_widths(hidden, (5,), data.gen_pde_dataset(spec.model, spec.payoff, spec.M, spec.T, 20),
                                      train.TrainConfig(method="ols")),
+        ),
+        "fold_features": (
+            (train, "_fold_block"),
+            lambda: train.fold_features(
+                hidden, data.Dataset(X=X[:, :2].copy(), Y=y, label_kind="single_draw", seed=0, M=1.0, T=1.0),
+            ),
         ),
         "predict": (
             (network, "design_matrix"),

@@ -347,17 +347,20 @@ class TestSharedLabelKernel:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        model=st.sampled_from(["gbm", "jumps"]), n=st.integers(1, 40), paths=st.integers(512, 700),
+        model=st.sampled_from(["gbm", "jumps"]), alone=st.booleans(), n=st.integers(1, 40),
         data=st.data(),
     )
-    def test_any_shared_block_size_gives_the_same_labels(self, model, n, paths, data):
+    def test_any_shared_block_size_gives_the_same_labels(self, model, alone, n, data):
         # blocks of one row up to more than all n rows, cut anywhere inside a
-        # row, so the block size of the two-thread path can never move a bit
+        # row, so the block size can never move a bit: of the two-thread
+        # path, or of the caller's alone, which rows of fewer than
+        # _SHARED_FILL normals take
         trip = gbm(d=2) if model == "gbm" else jump_diffusion()
         po = max_call(1.0, d=2)
-        assert paths * 2 >= data_module._SHARED_FILL
+        paths = data.draw(st.integers(1, 511) if alone else st.integers(512, 700))
+        assert (paths * 2 < data_module._SHARED_FILL) == alone
         block = data.draw(st.integers(1, (n + 2) * paths))
-        with mock.patch.object(data_module, "_SHARED_BLOCK", block):
+        with mock.patch.object(data_module, "_ALONE_BLOCK" if alone else "_SHARED_BLOCK", block):
             ds = gen_pde_dataset(trip, po, M=1.0, T=1.0, n=n, label_kind="mc_price", seed=25, paths=paths)
         mean, se = per_row_prices(trip, po, ds)
         assert np.array_equal(ds.Y, mean)
@@ -510,6 +513,25 @@ class TestBasketDataset:
         noise = substream(24, 52).normal(0.0, 0.01, size=n)
         assert np.array_equal(ds.Y, ref + noise)
         assert ds.label_se.shape == (n,)
+
+    @pytest.mark.parametrize("paths,n,alone", [(100, 600, True), (600, 600, False), (_CHUNK // 2 + 1, 3, False)])
+    def test_finished_rows_come_in_order_with_their_final_bits(self, paths, n, alone):
+        # rows of two assets: 100-path rows are drawn by the caller alone and
+        # come block by block; 600-path rows are drawn on two threads and
+        # longer ones one at a time, and those come once all are drawn
+        seen = []
+
+        def finished(X, Y, hi):
+            assert _on_main_thread()
+            seen.append((hi, X[:hi].copy(), Y[:hi].copy()))
+
+        kwargs = dict(M=2.0, n=n, seed=8, paths=paths, noise_std=0.01)
+        ds = gen_basket_put_dataset(self.spec, self.w, finished=finished, **kwargs)
+        per_block = data_module._ALONE_BLOCK // paths
+        assert [hi for hi, _, _ in seen] == (list(range(per_block, n, per_block)) if alone else []) + [n]
+        for hi, X, Y in seen:
+            assert np.array_equal(X, ds.X[:hi]) and np.array_equal(Y, ds.Y[:hi])
+        assert np.array_equal(ds.Y, gen_basket_put_dataset(self.spec, self.w, **kwargs).Y)
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):

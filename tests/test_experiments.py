@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kolmo_rfn import data as data_module
 from kolmo_rfn import experiments as experiments_module
 from kolmo_rfn import fourier, levy
 from kolmo_rfn import train as train_module
@@ -562,6 +564,30 @@ class TestTestSetWorker:
         assert 0 < len(drawn) < spec.n_test // 4
 
 
+class _Injected(Exception):
+    """A failure a test injects."""
+
+
+def _call_bounded(call, timeout=60.0):
+    """``call()`` on a daemon thread joined for at most ``timeout`` s, so a hang fails the test."""
+
+    out = {}
+
+    def run():
+        try:
+            out["value"] = call()
+        except BaseException as exc:
+            out["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"no return within {timeout} s"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
 def small_basket_spec(**overrides):
     base = dict(
         kind="basket_put",
@@ -719,6 +745,132 @@ class TestBasketPut:
                 )
         assert next(rows, None) is None
         assert (assets == 1) == ("rmse_closed_form" in rep.extras)
+
+    @pytest.mark.parametrize("noise_std", [0.0, 0.01])
+    @pytest.mark.parametrize("n_train", [1_000, 4_099, 9_001])
+    def test_rows_equal_the_whole_set_fold(self, monkeypatch, n_train, noise_std):
+        # the train rows are folded on a helper thread while their labels
+        # are drawn; the reference folds the finished train set with
+        # fold_features and runs every step after it on one thread. A
+        # block folded before its labels were final would show in R.
+        # 1 000 rows is one fold block, 4 099 two with a merged remainder,
+        # 9 001 five with a short tail
+        spec = small_basket_spec(
+            n_train=n_train, noise_std=noise_std, N_list=(20, 50),
+            train=(
+                TrainConfig(method="ols"),
+                TrainConfig(method="constrained", lam=5.0),
+                TrainConfig(method="sgd", lam=100.0, eta0=0.01, steps=300, seed=4),
+            ),
+        )
+        folds = []
+        real_fit_widths = experiments_module.fit_widths
+
+        def recorded(*args, **kwargs):
+            folds.append(kwargs["r"])
+            return real_fit_widths(*args, **kwargs)
+
+        monkeypatch.setattr(experiments_module, "fit_widths", recorded)
+        before = threading.enumerate()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # the threads trade the interpreter often
+        try:
+            rep = _call_bounded(lambda: run_basket_put(spec))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.enumerate() == before
+
+        weights = basket_weights(spec.model, None)
+        train, test = (
+            gen_basket_put_dataset(spec.model, weights, spec.M, n, noise_std=noise_std,
+                                   seed=derive_seed(spec.master_seed, s), paths=spec.paths)
+            for n, s in ((spec.n_train, _TRAIN_DATA), (spec.n_test, _TEST_DATA))
+        )
+        hidden = sample_hidden_weights(spec.weight_spec, 50, 1, derive_seed(spec.master_seed, _HIDDEN))
+        r = train_module.fold_features(hidden, train)
+        assert all(np.array_equal(got, r) for got in folds)
+        grid = np.linspace(0.0, spec.M, spec.grid_points)[:, None]
+        closed = bs_put_price(1.0, grid[:, 0], 0.2, 1.0)
+        rows, rmse = [], {}
+        for cfg in spec.train:
+            solved = fit_widths(hidden, spec.N_list, train, cfg, r=r)
+            for N in spec.N_list:
+                W, diag, _ = solved[N]
+                net = RandomFeatureNet(subnetwork(hidden, N), W, cfg.cap)
+                rows.append((cfg.method, N, math.sqrt(empirical_risk(net, test)), diag.empirical_risk))
+            err = predict(net, grid) - closed
+            rmse[cfg.method] = math.sqrt(float(err @ err / err.size))
+        assert rows_without_wall(rep) == rows
+        assert rep.extras["rmse_closed_form"] == rmse
+
+    def test_a_failing_fold_block_stops_the_labels(self, monkeypatch):
+        # the first fold block fails, and the label draw waits at row 3 000
+        # until the labels' stop is set: the caller may finish the label
+        # block it is in, but starts no other
+        n, paths = 9_001, 40
+        spec = small_basket_spec(n_train=n, paths=paths)
+        stops, opened = [], []
+        gen, keyed = experiments_module.gen_basket_put_dataset, data_module.keyed_generator
+
+        def stop_recorded(*args, **kwargs):
+            stops.append(kwargs.get("stop"))
+            return gen(*args, **kwargs)
+
+        def recorded(keys):
+            open_row = keyed(keys)
+
+            def record(i):
+                if len(opened) == 3_000:
+                    assert stops[0].wait(timeout=60)
+                opened.append((i, stops[0].is_set()))
+                return open_row(i)
+
+            return record
+
+        def failing(*args):
+            raise _Injected("fold block failed")
+
+        monkeypatch.setattr(experiments_module, "gen_basket_put_dataset", stop_recorded)
+        monkeypatch.setattr(data_module, "keyed_generator", recorded)
+        monkeypatch.setattr(train_module, "_fold_block", failing)
+        before = threading.enumerate()
+        with pytest.raises(_Injected, match="fold block failed"):
+            _call_bounded(lambda: run_basket_put(spec))
+        assert threading.enumerate() == before
+        per_block = data_module._ALONE_BLOCK // paths
+        assert len({i // per_block for i, stopped in opened if stopped}) == 1
+        assert len(opened) < n
+
+    def test_a_failing_label_draw_releases_the_fold(self, monkeypatch):
+        # train row 5 000 fails: the two fold blocks whose labels were final
+        # are folded, and the helper then ends instead of waiting for more
+        spec = small_basket_spec(n_train=9_001)
+        keyed = data_module.keyed_generator
+        folded = []
+        real_fold = train_module._fold_block
+
+        def failing(keys):
+            open_row = keyed(keys)
+
+            def open_or_fail(i):
+                if i == 5_000:
+                    raise _Injected("label row failed")
+                return open_row(i)
+
+            return open_or_fail
+
+        def counting(*args):
+            folded.append(threading.current_thread())
+            return real_fold(*args)
+
+        monkeypatch.setattr(data_module, "keyed_generator", failing)
+        monkeypatch.setattr(train_module, "_fold_block", counting)
+        before = threading.enumerate()
+        with pytest.raises(_Injected, match="label row failed"):
+            _call_bounded(lambda: run_basket_put(spec))
+        assert threading.enumerate() == before
+        assert len(folded) == 2
+        assert not set(folded) & set(before)
 
     def test_never_builds_the_whole_design(self):
         # numpy reports its data allocations to tracemalloc, so a whole
@@ -965,6 +1117,24 @@ class TestSgdVsOls:
         assert rep.extras["final_gaps"] == gaps
         assert rep.extras["final_gap_mean"] == float(np.mean(gaps))
         assert rep.extras["final_gap_mean"] != rep.rows[-1][1]
+
+    def test_wall_ms_is_the_time_to_reach_each_checkpoint(self, monkeypatch):
+        rep = run_sgd_vs_ols(small_sgd_spec())
+        wall = [row[3] for row in rep.rows]
+        assert wall == sorted(wall)
+        assert wall[0] < wall[-1]
+        # a clock that ticks one second a reading: each seed reads it once
+        # before fit_sgd and once at each checkpoint, in order
+        ticks = iter(range(10**6))
+
+        class Clock:
+            @staticmethod
+            def perf_counter():
+                return float(next(ticks))
+
+        monkeypatch.setattr(experiments_module, "time", Clock)
+        rep = run_sgd_vs_ols(small_sgd_spec())
+        assert [row[3] for row in rep.rows] == [1e3 * (k + 1) for k in range(len(rep.rows))]
 
     def test_checkpoints_validated(self):
         with pytest.raises(ValueError):

@@ -370,6 +370,7 @@ def _streamed_cases():
     return cases
 
 
+@_blas.single_blas_thread()
 def fold_rows(r, design, Y):
     """Fold the rows ``[X | Y]`` of a design handed to it into the R of a running TSQR.
 
@@ -378,7 +379,7 @@ def fold_rows(r, design, Y):
     stacked on the new rows is the R of all rows together (Demmel,
     Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 2012). Returns a new
     R; ``r`` is left as it was. It is the reference ``fold_features`` is
-    held to: both fold through ``train._fold``.
+    held to: both fold through ``train._fold``, on one OpenBLAS thread.
     """
 
     X, y = train_module._check_xy(design, Y)
@@ -734,8 +735,13 @@ class TestFoldKernel:
         assert peak < buffer_bytes + piece_bytes + 2**20
 
 
+@_blas.single_blas_thread()
 def design_block_fold(hidden, X, y):
-    """The reference: ``fold_rows`` over each block's materialized design, cut as ``fold_features`` cuts."""
+    """The reference: ``fold_rows`` over each block's materialized design, cut as ``fold_features`` cuts.
+
+    Like ``fold_features``, it runs on one OpenBLAS thread: a threaded
+    gemm or ``dtpqrt`` splits its sums by thread.
+    """
 
     r = None
     for rows in row_blocks(len(y)):
@@ -784,7 +790,8 @@ class TestFoldFeatures:
         hidden = degenerate(sample_hidden_weights(WeightDistributionSpec(), N=N, d=d, seed=seed), dead, copies)
         X = rng.uniform(-1, 1, (n, d))
         y = rng.standard_normal(n)
-        design = np.vstack([design_matrix(hidden, X[p]).values for p in row_blocks(n, ROW_PIECE)])
+        with _blas.single_blas_thread():  # the features fold_features builds, on its one thread
+            design = np.vstack([design_matrix(hidden, X[p]).values for p in row_blocks(n, ROW_PIECE)])
 
         def fold(size):
             r = None
@@ -811,6 +818,7 @@ class TestFoldFeatures:
         N=st.integers(1, 200).filter(lambda N: N <= 192 or N % 8 == 0),
         dead=st.sets(st.integers(0, 199), max_size=5),
     )
+    @example(seed=0, d=20, n=657, N=181, dead=set())
     def test_r_has_the_bits_of_the_design_block_fold(self, seed, d, n, N, dead):
         rng = np.random.default_rng(seed)
         hidden = with_dead_features(
